@@ -4,16 +4,16 @@ One daemon (resident :class:`~repro.parallel.runner.ExecutorService` +
 two-tier :class:`~repro.parallel.cache.VerdictCache`) answers the same
 mixed 20-request workload three times over keep-alive HTTP:
 
-* **cold** — empty cache: every request forks workers and solves, and the
+* **cold** — empty cache: every request is solved on a worker, and the
   first request per schema shape compiles its session;
 * **hot** — first warm pass: every verdict now comes from the cache's
-  *memory* tier, no worker forks, no compiles;
+  *memory* tier, no worker round trips, no compiles;
 * **cache-hit** — second warm pass: the steady state a long-lived daemon
   actually serves.
 
 Verdicts must be identical across all three passes.  The steady-state
 pass must run ≥5× the cold qps — serving a warm verdict is a dict lookup
-plus HTTP framing, while cold solving forks processes — and the schema-
+plus HTTP framing, while cold solving runs the engines — and the schema-
 session registry must report *zero* compiles across the warm passes
 (asserted from outside the process via ``/stats``, the same way the CI
 server smoke does).
@@ -93,7 +93,7 @@ class TestServerThroughput:
             f"steady-state {hit_qps:.0f} qps < 5x cold {cold_qps:.0f} qps")
 
         # Both warm passes were pure memory-tier hits, compiled nothing,
-        # and forked nothing new (executor submissions all completed).
+        # and left nothing in flight (executor submissions all completed).
         server = stats["server"]
         sessions = stats["sessions"]
         assert stats["cache"]["mem_hits"] >= 2 * n

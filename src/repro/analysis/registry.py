@@ -120,7 +120,9 @@ class EngineRegistry:
         return sorted(self._engines.values(),
                       key=lambda engine: (engine.cost_hint, engine.name))
 
-    def plan_and_run(self, problem: Problem) -> Result:
+    def plan_and_run(self, problem: Problem, *,
+                     exclude: frozenset[str] = frozenset(),
+                     progress=None) -> Result:
         """Dispatch ``problem`` to an engine and return its result.
 
         With ``problem.engine`` set, that engine must admit and solve the
@@ -135,7 +137,16 @@ class EngineRegistry:
         :class:`EngineDeclined` escaping ``solve`` (a nested dispatch whose
         engine declined) is a *clean* decline, not an error: the entry is
         marked ``declined`` and ``dispatch.declined.<name>`` counted, never
-        ``dispatch.error.<name>``.
+        ``dispatch.error.<name>``.  When no engine is left to try, the
+        dispatch raises :class:`EngineDeclined` too.
+
+        ``exclude`` names engines this dispatch must not try (a worker
+        resuming the ladder after a timed-out engine).  ``progress``, if
+        given, is called as ``progress(event, engine_name, detail)`` around
+        every top-level attempt: ``("trying", name, None)`` before
+        ``solve``, then ``("declined", name, reason)``, ``("failed", name,
+        exception)`` or ``("result", name, result)``.  Nested dispatches
+        (equivalence sub-containments) do not report through it.
 
         Every problem is canonicalized by the rewrite pipeline
         (:mod:`repro.xpath.passes`) before admission checks and dispatch,
@@ -147,11 +158,15 @@ class EngineRegistry:
         """
         original = problem
         problem = problem.canonical()
-        candidates = self.candidates(problem)
+        notify = progress or _no_progress
+        candidates = [engine for engine in self.candidates(problem)
+                      if engine.name not in exclude]
         decision: list[dict] = []
         chosen: Engine | None = None
         forced = problem.engine
         if forced is not None and problem.kind is not ProblemKind.EQUIVALENCE:
+            if forced in exclude:
+                raise EngineDeclined(f"engine {forced!r} was already tried")
             engine = self.get(forced)
             decision = [dict(engine.describe(), admits=engine.admits(problem),
                              forced=True)]
@@ -186,6 +201,7 @@ class EngineRegistry:
                     # A custom-pipeline canonical form may mention a
                     # different label alphabet — its own schema.
                     attempt_session = session_for(solve_input)
+                notify("trying", chosen.name, None)
                 try:
                     result = chosen.solve(solve_input, attempt_session)
                 except EngineDeclined as declined:
@@ -199,6 +215,7 @@ class EngineRegistry:
                         if entry["name"] == chosen.name:
                             entry["declined"] = True
                     obs.count(f"dispatch.declined.{chosen.name}")
+                    notify("declined", chosen.name, str(declined))
                     if forced is not None:
                         obs.note("engine_decision", {"candidates": decision,
                                                      "chosen": None})
@@ -213,6 +230,7 @@ class EngineRegistry:
                         if entry["name"] == chosen.name:
                             entry["error"] = f"{type(error).__name__}: {error}"
                     obs.count(f"dispatch.error.{chosen.name}")
+                    notify("failed", chosen.name, error)
                     if forced is not None:
                         obs.note("engine_decision", {"candidates": decision,
                                                      "chosen": None})
@@ -225,6 +243,7 @@ class EngineRegistry:
                                  {"candidates": decision, "chosen": chosen.name})
                         obs.observe("dispatch.solve_s",
                                     time.perf_counter() - dispatch_start)
+                        notify("result", chosen.name, result)
                         return result
                     # Runtime decline: mark it and fall through to the next
                     # admitted candidate (or fail if the engine was forced).
@@ -232,6 +251,7 @@ class EngineRegistry:
                         if entry["name"] == chosen.name:
                             entry["declined"] = True
                     obs.count(f"dispatch.declined.{chosen.name}")
+                    notify("declined", chosen.name, "declined at runtime")
                     if forced is not None:
                         obs.note("engine_decision", {"candidates": decision,
                                                      "chosen": None})
@@ -251,9 +271,13 @@ class EngineRegistry:
         obs.note("engine_decision", {"candidates": decision, "chosen": None})
         if last_error is not None:
             raise last_error
-        raise ValueError(
+        raise EngineDeclined(
             f"no registered engine admits this {problem.kind.value} problem"
         )
+
+
+def _no_progress(event: str, engine: str, detail) -> None:
+    """The default :meth:`EngineRegistry.plan_and_run` progress hook."""
 
 
 class BidirectionalEngine(Engine):

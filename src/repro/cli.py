@@ -15,7 +15,7 @@ Commands
   pipeline's canonical form of an expression (the exact input every engine
   sees); ``--stats``-style per-pass statistics go to stderr.
 * ``validate --schema FILE [--doc FILE | --xml STRING]`` — EDTD conformance.
-* ``batch INPUT.jsonl [--workers N] [--timeout S] [--race] [--cache-dir D]``
+* ``batch INPUT.jsonl [--workers N] [--timeout S] [--cache-dir D]``
   — decide a JSONL stream of problems on a worker pool (see
   :mod:`repro.parallel`); answers are emitted as JSONL.  With ``--server
   ADDRESS`` the stream is shipped to a running daemon instead.
@@ -344,8 +344,7 @@ def _cmd_batch(args) -> int:
     # --trace needs the full cross-process picture: coordinator-thread
     # recordings plus every worker's shipped run record.
     runner = BatchRunner(workers=args.workers, timeout=args.timeout,
-                         race=args.race, cache=cache,
-                         collect_stats=bool(args.trace))
+                         cache=cache, collect_stats=bool(args.trace))
     trace_payload = None
     if _wants_stats(args):
         with obs.record("batch") as recording:
@@ -408,7 +407,7 @@ def _cmd_serve(args) -> int:
     config = ServerConfig(
         host=args.host, port=args.port,
         jsonl_path=args.socket, jsonl_port=args.jsonl_port,
-        workers=args.workers, timeout=args.timeout, race=args.race,
+        workers=args.workers, timeout=args.timeout,
         cache_dir=args.cache_dir, no_cache=args.no_cache,
         cache_max_entries=args.cache_max_entries,
         cache_max_bytes=args.cache_max_bytes,
@@ -653,9 +652,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="per-engine-attempt wall-clock timeout; on "
                             "expiry the problem retries on the next-cheapest "
                             "admitted engine")
-    batch.add_argument("--race", action="store_true",
-                       help="race conclusive admitted engines per problem; "
-                            "first conclusive verdict wins")
     batch.add_argument("--cache-dir", metavar="DIR", default=None,
                        help="verdict cache directory (default: "
                             "$REPRO_CACHE_DIR or ~/.cache/repro)")
@@ -667,8 +663,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--server", metavar="ADDRESS", default=None,
         help="send the stream to a running 'repro serve' daemon over its "
              "JSONL socket (a unix socket path or host:port) instead of "
-             "spawning a local pool; executor flags (--workers, --race, "
-             "--cache-dir, --stats, --trace) are the daemon's and ignored "
+             "spawning a local pool; executor flags (--workers, --cache-dir, "
+             "--stats, --trace) are the daemon's and ignored "
              "here, --schema must be configured on the daemon")
     _add_obs_flags(batch)
     batch.set_defaults(func=_cmd_batch)
@@ -694,8 +690,6 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="S",
                        help="admission cap on per-request timeouts "
                             "(default: 600)")
-    serve.add_argument("--race", action="store_true",
-                       help="race conclusive admitted engines per problem")
     serve.add_argument("--cache-dir", metavar="DIR", default=None,
                        help="verdict cache directory (default: "
                             "$REPRO_CACHE_DIR or ~/.cache/repro)")

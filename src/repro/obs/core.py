@@ -344,3 +344,20 @@ def disable() -> "Recording | None":
         recording.stop()
         _ambient = None
     return recording
+
+
+def _after_fork_in_child() -> None:
+    # A forked worker starts with no recordings: the forking thread's live
+    # ones belong to the parent, and a lock another parent thread held at
+    # fork time would deadlock the child's first recording.
+    global _ENABLED, _live_recordings, _lock, _local, _ambient
+    _ENABLED = False
+    _live_recordings = 0
+    _lock = threading.Lock()
+    _local = threading.local()
+    _ambient = None
+    Recording._trace_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):  # pragma: no branch - POSIX only
+    os.register_at_fork(after_in_child=_after_fork_in_child)

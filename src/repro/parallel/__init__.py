@@ -2,12 +2,11 @@
 
 The sequential analysis API (:func:`repro.analysis.contains` and friends)
 decides one problem at a time in-process.  This package scales that to
-*batches*: a :class:`BatchRunner` executes many
-:class:`~repro.analysis.problems.Problem`\\ s on a pool of worker
+*batches* and request streams: an :class:`ExecutorService` (and its
+one-shot front-end :class:`BatchRunner`) executes many
+:class:`~repro.analysis.problems.Problem`\\ s on a pool of resident worker
 processes, with per-engine wall-clock timeouts that degrade gracefully to
-the next-cheapest admitted engine, optional engine *racing* (all
-conclusive admitted engines run concurrently, the first conclusive verdict
-wins, losers are terminated), and a persistent on-disk
+the next-cheapest admitted engine, and a persistent on-disk
 :class:`VerdictCache` so repeated benchmark/CI runs skip solved instances.
 
 Quickstart::

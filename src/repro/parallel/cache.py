@@ -92,6 +92,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import sys
 import tempfile
 import threading
 from collections import OrderedDict
@@ -192,7 +193,9 @@ def engine_set_fingerprint() -> str:
     """
     from ..analysis.registry import default_registry
 
-    return ",".join(default_registry().names())
+    # Interned: every memory-tier entry carries it, so they share one
+    # string instead of holding a copy each.
+    return sys.intern(",".join(default_registry().names()))
 
 
 def problem_fingerprint(problem: Problem) -> str:
@@ -345,8 +348,11 @@ class VerdictCache:
     def _shard_dir(self, key: str) -> Path:
         return self.directory / f"{int(key[:8], 16) % self.shards:02x}"
 
-    def _path(self, key: str) -> Path:
-        return self._shard_dir(key) / f"{key}.json"
+    def _path(self, key: str) -> str:
+        # A plain string, not a Path: pathlib interns every path component,
+        # and the interpreter's intern table would grow by one entry per
+        # distinct cache key for the life of a daemon.
+        return os.path.join(self._shard_dir(key), f"{key}.json")
 
     @contextmanager
     def _shard_lock(self, shard_dir: Path):
@@ -438,7 +444,7 @@ class VerdictCache:
             obs.count("cache.corrupt")
             self._memory_drop(key)
             try:
-                self._path(key).unlink()
+                os.unlink(self._path(key))
             except OSError:
                 pass
             return None
@@ -466,7 +472,8 @@ class VerdictCache:
             return None
         self._ensure_migrated()
         try:
-            text = self._path(key).read_text(encoding="utf-8")
+            with open(self._path(key), encoding="utf-8") as handle:
+                text = handle.read()
         except OSError:
             self.misses += 1
             obs.count("cache.miss")
@@ -481,7 +488,7 @@ class VerdictCache:
             self.corrupt += 1
             obs.count("cache.corrupt")
             try:
-                self._path(key).unlink()
+                os.unlink(self._path(key))
             except OSError:
                 pass
             self.misses += 1

@@ -1,37 +1,46 @@
 """The execution backend: many decision problems, one resident worker pool.
 
 :class:`ExecutorService` is the long-lived heart of this module: a pool of
-coordinator threads — one per worker slot — that stays resident across
-submissions and drives the lifecycle of each
-:class:`~repro.analysis.problems.Problem` it is handed, whether problems
-arrive one at a time (:meth:`ExecutorService.submit`, used by the ``repro
-serve`` daemon) or as whole batches (:meth:`ExecutorService.run`).  Worker
-*processes* are forked per engine attempt (decision procedures are
-CPU-bound; threads would serialize on the GIL):
+coordinator threads and a pool of worker *processes* — one of each per
+slot — that stay resident across submissions and drive the lifecycle of
+each :class:`~repro.analysis.problems.Problem` the service is handed,
+whether problems arrive one at a time (:meth:`ExecutorService.submit`,
+used by the ``repro serve`` daemon) or as whole batches
+(:meth:`ExecutorService.run`).  Decision procedures are CPU-bound, so they
+run in the worker processes; threads would serialize on the GIL.
 
 1. **Cache.** With a :class:`~repro.parallel.cache.VerdictCache` attached,
-   a hit returns the stored result without spawning a worker (and, warm,
+   a hit returns the stored result without touching a worker (and, warm,
    without touching disk — see the cache's memory tier).
-2. **Race** (``race=True``).  All *conclusive* admitted engines start
-   concurrently, one worker process each; the first conclusive verdict
-   wins and the losers are terminated.  With fewer than two conclusive
-   contenders the race degenerates to the ladder.
-3. **Ladder.**  One worker walks the admitted engines cheapest-first
-   (exactly the :meth:`EngineRegistry.plan_and_run` order), falling
-   through on runtime declines and engine exceptions.  The parent imposes
-   a per-engine wall-clock ``timeout`` (overridable per submission): on
-   expiry the worker is terminated and a fresh worker resumes at the
-   next-cheapest engine — a timeout degrades the answer, never the batch.
+2. **Ladder.**  The coordinator checks a worker out of the pool and sends
+   it the problem; the worker walks the admitted engines cheapest-first
+   through :meth:`EngineRegistry.plan_and_run`, falling through on runtime
+   declines and engine exceptions, and streams each attempt back (see
+   :mod:`repro.parallel.worker` for the message protocol).  The parent
+   imposes a per-engine wall-clock ``timeout`` (overridable per
+   submission): on expiry the worker is killed and the ladder resumes at
+   the next-cheapest engine on another worker, with the timed-out engine
+   excluded — a timeout degrades the answer, never the batch.
+
+Pool lifecycle: the workers are forked lazily, all at once, by the first
+checkout, so a batch's parent-side precompile has already happened and
+every worker inherits the warm sessions.  A worker that timed out or died
+is killed, reaped and counted as ``replaced``; a worker that retired
+itself (:data:`~repro.parallel.worker.MAX_TASKS` problems, or
+:data:`~repro.parallel.worker.MAX_RSS_GROWTH` bytes of growth) is reaped
+and counted as ``recycled``.  Either way the next checkout that finds no
+idle worker forks a fresh one.  :meth:`ExecutorService.release` and
+:meth:`ExecutorService.close` terminate and reap every worker.
 
 Sessions: the coordinator warms the problem's
-:class:`~repro.analysis.session.SchemaSession` in the parent *before* any
-worker forks, so children inherit the finished
+:class:`~repro.analysis.session.SchemaSession` in the parent before it
+dispatches, so workers forked afterwards — the first pool, replacements,
+recycled successors — inherit the finished
 :class:`~repro.edtd.compiled.CompiledSchema` artifact instead of
-rebuilding it per process.  Because the service is resident, sessions stay
-warm across submissions — the compile-once machinery amortizes over a
-request stream, not a single batch.  The service never resets the session
-registry; callers that want per-run hygiene (the one-shot
-:class:`BatchRunner`, pool shutdown) call
+rebuilding it.  A schema first seen after the pool forked is compiled once
+more inside each worker that meets it, then stays warm there.  The service
+never resets the session registry; callers that want per-run hygiene (the
+one-shot :class:`BatchRunner`, pool shutdown) call
 :func:`~repro.analysis.session.reset_sessions` themselves, and
 :meth:`ExecutorService.close` does so on the way out.
 
@@ -42,8 +51,8 @@ Failures are data: a raising or hanging engine cannot poison the pool or
 perturb any other problem's verdict.
 
 Workers are forked (configurable via ``mp_context``), so engines
-registered at runtime — including test doubles — are visible to workers
-without pickling.  Only results cross the process boundary.
+registered before the pool starts — including test doubles — are visible
+to workers without pickling.  Problems and results cross the pipe.
 
 :class:`BatchRunner` is the historical one-shot front-end: same
 constructor, same :meth:`BatchRunner.run` contract, now a thin wrapper
@@ -59,13 +68,14 @@ import multiprocessing
 import os
 import threading
 import time
+from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
-from multiprocessing.connection import wait as _conn_wait
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from .. import obs
+from ..analysis.containment import _engine_preference
 from ..analysis.problems import (
     DEFAULT_MAX_NODES,
     ContainmentResult,
@@ -73,11 +83,10 @@ from ..analysis.problems import (
     ProblemKind,
     SatResult,
 )
-from ..analysis.registry import default_registry
 from ..edtd import EDTD
 from ..xpath.ast import NodeExpr, PathExpr
 from .cache import VerdictCache
-from .worker import WorkerFailure, solve_in_child
+from .worker import WorkerFailure, serve
 
 __all__ = [
     "BatchError",
@@ -124,22 +133,21 @@ class BatchOutcome:
     #: Wall-clock cost of the verdict-cache probe (hit or miss).
     cache_probe_s: float = 0.0
     #: One dict per engine attempt: ``{"engine", "status"}`` with status in
-    #: ``result | declined | failed | timeout | died | lost-race``.
+    #: ``result | declined | failed | timeout | died``.
     attempts: list[dict] = field(default_factory=list)
     failures: list[WorkerFailure] = field(default_factory=list)
-    race_winner: str | None = None
     #: Set when no engine produced a result.
     error: str | None = None
     #: The run record behind the verdict: the winning worker's own record,
     #: or — on a cache hit — a minimal synthesized record annotating the
     #: ``cache.hit`` provenance and probe latency (``collect_stats=True``).
     stats: dict | None = None
-    #: Every worker run record shipped for this problem (racing losers that
-    #: declined, exhausted ladder walks, the winner) — the trace writer
-    #: renders one process lane per record (``collect_stats=True`` only).
+    #: Every worker run record shipped for this problem (exhausted ladder
+    #: walks, the winner) — the trace writer renders one process lane per
+    #: worker pid (``collect_stats=True`` only).
     worker_records: list[dict] = field(default_factory=list)
     #: The coordinator thread's own recording of this problem's lifecycle:
-    #: cache probe, attempts, race bookkeeping (``collect_stats=True``).
+    #: cache probe and worker attempts (``collect_stats=True``).
     coord_stats: dict | None = None
 
 
@@ -150,7 +158,6 @@ class BatchReport:
     outcomes: list[BatchOutcome]
     wall_s: float
     workers: int
-    race: bool
     cache_info: dict | None = None
     stats: dict | None = None
     #: One entry per distinct compiled schema in the batch: ``{"schema_id",
@@ -179,13 +186,36 @@ class BatchReport:
             "problems": len(self.outcomes),
             "wall_s": self.wall_s,
             "workers": self.workers,
-            "race": self.race,
             "cache_hits": self.cache_hits,
             "timeouts": timeouts,
             "worker_failures": sum(len(outcome.failures)
                                    for outcome in self.outcomes),
             "unsolved": len(self.failed),
         }
+
+
+class _Worker:
+    """Parent-side handle on one resident worker process and its pipe."""
+
+    def __init__(self, ctx) -> None:
+        self.conn, child_conn = ctx.Pipe()
+        self.process = ctx.Process(target=serve, args=(child_conn,),
+                                   daemon=True)
+        self.process.start()
+        child_conn.close()
+        #: Set by the worker's ``retiring`` message: its current task is
+        #: its last.
+        self.retiring = False
+
+    def stop(self) -> None:
+        """Terminate (if still running) and reap the process.  Idempotent."""
+        if self.process.is_alive():
+            self.process.terminate()
+        self.process.join(timeout=5)
+        if self.process.is_alive():  # pragma: no cover - stuck in uninterruptible IO
+            self.process.kill()
+            self.process.join(timeout=5)
+        self.conn.close()
 
 
 class ExecutorService:
@@ -197,7 +227,6 @@ class ExecutorService:
       ``os.cpu_count()``, ≤ 8).
     * ``timeout`` — default per-engine-attempt wall-clock seconds
       (``None`` = no timeout); overridable per :meth:`submit`.
-    * ``race`` — race conclusive admitted engines per problem.
     * ``cache`` — a :class:`VerdictCache`, a directory for one, or ``None``
       to disable caching.
     * ``collect_stats`` — ship each worker's own obs run record back with
@@ -211,7 +240,6 @@ class ExecutorService:
         self,
         workers: int | None = None,
         timeout: float | None = None,
-        race: bool = False,
         cache: VerdictCache | str | Path | None = None,
         collect_stats: bool = False,
         mp_context: str | multiprocessing.context.BaseContext | None = None,
@@ -221,7 +249,6 @@ class ExecutorService:
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         self.timeout = timeout
-        self.race = race
         if cache is None or isinstance(cache, VerdictCache):
             self.cache = cache
         else:
@@ -242,6 +269,66 @@ class ExecutorService:
         self._next_index = 0
         self.submitted = 0
         self.completed = 0
+        # The worker pool: every live worker, the idle ones in checkout
+        # order, and lifetime figures for stats().
+        self._workers_lock = threading.Lock()
+        self._live: set[_Worker] = set()
+        self._idle: deque[_Worker] = deque()
+        self._worker_counts = {"spawned": 0, "replaced": 0, "recycled": 0}
+
+    # ------------------------------------------------------- worker pool
+
+    def _checkout(self) -> _Worker:
+        """An idle worker for one ladder walk.  The first checkout forks
+        the whole pool; later ones fork a successor only when no live
+        worker is idle (one was replaced or recycled)."""
+        with self._workers_lock:
+            if self._closed:
+                raise RuntimeError("ExecutorService is closed")
+            if not self._live:
+                for _ in range(self.workers):
+                    self._idle.append(self._spawn())
+            while self._idle:
+                worker = self._idle.popleft()
+                if worker.process.is_alive():
+                    return worker
+                self._live.discard(worker)  # died while idle
+                self._count_worker("replaced")
+                worker.stop()
+            return self._spawn()
+
+    def _spawn(self) -> _Worker:
+        worker = _Worker(self._ctx)
+        self._live.add(worker)
+        self._count_worker("spawned")
+        return worker
+
+    def _count_worker(self, fate: str) -> None:
+        self._worker_counts[fate] += 1
+        obs.count(f"executor.worker.{fate}")
+
+    def _checkin(self, worker: _Worker, status: str | None) -> None:
+        """Return a healthy worker to the pool; reap one that timed out,
+        died or retired.  ``status`` is :meth:`_attempt`'s (``None`` when
+        the exchange broke off on a coordinator error)."""
+        healthy = status in ("result", "exhausted")
+        with self._workers_lock:
+            # A worker no longer live was torn down by release/close.
+            if worker in self._live:
+                if healthy and not worker.retiring:
+                    self._idle.append(worker)
+                    return
+                self._live.discard(worker)
+                self._count_worker("recycled" if healthy else "replaced")
+        worker.stop()
+
+    def _stop_workers(self) -> None:
+        with self._workers_lock:
+            workers = list(self._live)
+            self._live.clear()
+            self._idle.clear()
+        for worker in workers:
+            worker.stop()
 
     # --------------------------------------------------------- lifecycle
 
@@ -255,19 +342,22 @@ class ExecutorService:
             return self._pool
 
     def release(self, wait: bool = True) -> None:
-        """Shut down the coordinator threads but keep the service usable —
-        the pool is recreated lazily on the next submission.  The one-shot
-        :class:`BatchRunner` calls this after every run so idle threads
-        never outlive a batch."""
+        """Shut down the coordinator threads and reap every worker but
+        keep the service usable — both pools are recreated lazily on the
+        next submission.  The one-shot :class:`BatchRunner` calls this
+        after every run so neither idle threads nor worker processes
+        outlive a batch."""
         with self._pool_lock:
             pool = self._pool
             self._pool = None
         if pool is not None:
             pool.shutdown(wait=wait)
+        self._stop_workers()
 
     def close(self, wait: bool = True) -> None:
-        """Shut the coordinator pool down and drop the (now orphaned)
-        warm sessions.  Idempotent; the service is unusable afterwards."""
+        """Shut the coordinator pool down, terminate and reap every worker
+        (in-flight attempts included), and drop the (now orphaned) warm
+        sessions.  Idempotent; the service is unusable afterwards."""
         with self._pool_lock:
             if self._closed:
                 return
@@ -276,6 +366,7 @@ class ExecutorService:
             self._pool = None
         if pool is not None:
             pool.shutdown(wait=wait)
+        self._stop_workers()
         from ..analysis.session import reset_sessions
 
         reset_sessions()
@@ -291,16 +382,22 @@ class ExecutorService:
         self.close()
 
     def stats(self) -> dict:
-        """Live service gauges: slots, lifetime submissions, in-flight."""
+        """Live service gauges: slots, lifetime submissions, in-flight,
+        and the worker pool — live workers plus lifetime forks, kills
+        (timeout or death) and self-retirements."""
         with self._state_lock:
             submitted, completed = self.submitted, self.completed
+        with self._workers_lock:
+            alive = len(self._live)
+            counts = dict(self._worker_counts)
         return {
             "workers": self.workers,
-            "race": self.race,
             "timeout_s": self.timeout,
             "submitted": submitted,
             "completed": completed,
             "inflight": submitted - completed,
+            "workers_alive": alive,
+            **counts,
         }
 
     # ------------------------------------------------------- submissions
@@ -339,11 +436,13 @@ class ExecutorService:
         """Decide a whole batch; outcomes come back in input order.
 
         Groups the batch by compiled schema up front and compiles each
-        distinct schema ONCE in this thread, before any worker forks: the
-        gauge tells a profile reader how much schema-session sharing the
-        conclusive engines can expect, fork-started workers inherit the
-        finished CompiledSchema artifacts instead of rebuilding them per
-        process, and the ``schema.compile.*`` counters land in the
+        distinct schema ONCE in this thread, before the worker pool forks
+        (it forks lazily, on the first checkout): the gauge tells a
+        profile reader how much schema-session sharing the conclusive
+        engines can expect, fork-started workers inherit the finished
+        CompiledSchema artifacts instead of rebuilding them per process
+        (true of a pool that is already running only for schemas it has
+        seen before), and the ``schema.compile.*`` counters land in the
         caller's (batch-level) recording where the compile-once property
         is assertable.  Unlike :meth:`submit`, ``run`` also emits the
         batch-level obs metrics; it does NOT reset sessions — the one-shot
@@ -365,7 +464,7 @@ class ExecutorService:
         started = time.perf_counter()
         schema_summary: list[dict] = []
         with obs.span("batch.run", problems=len(items),
-                      workers=self.workers, race=self.race):
+                      workers=self.workers):
             if items:
                 from ..analysis.session import session_for
 
@@ -380,7 +479,7 @@ class ExecutorService:
         done = [outcome for outcome in outcomes if outcome is not None]
         assert len(done) == len(items)
         report = BatchReport(
-            outcomes=done, wall_s=wall, workers=self.workers, race=self.race,
+            outcomes=done, wall_s=wall, workers=self.workers,
             cache_info=self.cache.info() if self.cache is not None else None,
             schemas=schema_summary,
         )
@@ -432,7 +531,7 @@ class ExecutorService:
         if not self.collect_stats:
             return self._solve_one(index, problem, submitted, timeout)
         # Each coordinator thread records its problem's lifecycle — cache
-        # probe, attempts, race bookkeeping — in its own thread-local
+        # probe and worker attempts — in its own thread-local
         # recording; the trace writer renders these as per-problem lanes
         # under the coordinator process.
         with obs.record(f"problem[{index}]") as recording:
@@ -470,17 +569,15 @@ class ExecutorService:
                 return outcome
         solve_started = time.perf_counter()
         try:
-            # Warm the schema session in the parent before any worker
-            # forks: children inherit the finished CompiledSchema, and a
-            # resident service keeps it hot for later submissions of the
-            # same schema.  (Batch runs already precompiled it — this is a
-            # registry hit; single submissions compile here, once.)
+            # Warm the schema session in the parent before dispatching:
+            # workers forked from now on inherit the finished
+            # CompiledSchema, and a resident service keeps it hot for
+            # later submissions of the same schema.  (Batch runs already
+            # precompiled it — this is a registry hit; single submissions
+            # compile here, once.)
             self._warm_session(problem)
             with obs.span("solve"):
-                if self.race:
-                    self._run_race(problem, outcome, timeout)
-                if outcome.result is None and outcome.error is None:
-                    self._run_ladder(problem, outcome, timeout)
+                self._run_ladder(problem, outcome, timeout)
         except Exception as error:  # coordinator bug — never kill the batch
             outcome.error = f"{type(error).__name__}: {error}"
         outcome.worker_time_s = time.perf_counter() - solve_started
@@ -531,10 +628,10 @@ class ExecutorService:
     def _run_ladder(self, problem: Problem, outcome: BatchOutcome,
                     timeout: float | None) -> None:
         """Worker-backed engine ladder with parent-enforced timeouts."""
-        exclude: set[str] = {attempt["engine"] for attempt in outcome.attempts}
+        exclude: set[str] = set()
         while True:
             status, engine = self._attempt(problem, frozenset(exclude),
-                                           None, outcome, timeout)
+                                           outcome, timeout)
             if status == "result":
                 return
             if status == "exhausted":
@@ -542,7 +639,7 @@ class ExecutorService:
                     outcome.error = self._exhausted_message(outcome)
                 return
             # timeout / died: exclude the engine that was running and
-            # resume the ladder in a fresh worker.
+            # resume the ladder on another worker.
             if engine is None:
                 outcome.error = f"worker {status} before choosing an engine"
                 return
@@ -562,74 +659,50 @@ class ExecutorService:
         return "no registered engine admitted or solved the problem"
 
     def _attempt(self, problem: Problem, exclude: frozenset[str],
-                 only_engine: str | None, outcome: BatchOutcome,
+                 outcome: BatchOutcome,
                  timeout: float | None) -> tuple[str, str | None]:
-        """One worker process; returns ``(status, engine)`` where status is
-        ``result | exhausted | timeout | died``."""
-        parent_conn, child_conn = self._ctx.Pipe(duplex=False)
-        process = self._ctx.Process(
-            target=solve_in_child,
-            args=(child_conn, problem, exclude, self.collect_stats,
-                  only_engine),
-            daemon=True,
-        )
-        process.start()
-        child_conn.close()
-        attempt_span = obs.span("worker.attempt").start()
+        """One ladder walk on a pooled worker; returns ``(status, engine)``
+        where status is ``result | exhausted | timeout | died``."""
+        worker = self._checkout()
+        conn = worker.conn
+        attempt_span = obs.span("worker.attempt",
+                                pid=worker.process.pid).start()
         current: dict | None = None
+        status: str | None = None
         deadline = None if timeout is None \
             else time.perf_counter() + timeout
         try:
-            while True:
+            conn.send((problem, exclude, self.collect_stats))
+            while status is None:
                 if deadline is not None:
                     remaining = deadline - time.perf_counter()
-                    if remaining <= 0 or not parent_conn.poll(remaining):
-                        if parent_conn.poll(0):
-                            pass  # a message raced the deadline; drain it
-                        else:
-                            if current is not None:
-                                current["status"] = "timeout"
-                            attempt_span.annotate(status="timeout")
-                            return ("timeout",
-                                    current["engine"] if current else None)
-                elif not parent_conn.poll(_POLL_S):
-                    if process.is_alive() or parent_conn.poll(0):
+                    if (remaining <= 0 or not conn.poll(remaining)) \
+                            and not conn.poll(0):
+                        status = "timeout"
+                        break
+                elif not conn.poll(_POLL_S):
+                    if worker.process.is_alive() or conn.poll(0):
                         continue
-                    if current is not None:
-                        current["status"] = "died"
-                    self._record_death(outcome, current)
-                    attempt_span.annotate(status="died")
-                    return ("died", current["engine"] if current else None)
-                try:
-                    message = parent_conn.recv()
-                except EOFError:
-                    if current is not None:
-                        current["status"] = "died"
-                    self._record_death(outcome, current)
-                    attempt_span.annotate(status="died")
-                    return ("died", current["engine"] if current else None)
+                    status = "died"
+                    break
+                message = conn.recv()
                 kind = message[0]
                 if kind == "trying":
                     current = {"engine": message[1], "status": "running"}
                     outcome.attempts.append(current)
                     if timeout is not None:
                         deadline = time.perf_counter() + timeout
-                elif kind == "declined":
+                elif kind in ("declined", "failed"):
+                    if kind == "failed":
+                        outcome.failures.append(WorkerFailure(**message[2]))
                     if current is not None and current["engine"] == message[1]:
-                        current["status"] = "declined"
+                        current["status"] = kind
                     else:
                         outcome.attempts.append(
-                            {"engine": message[1], "status": "declined"})
+                            {"engine": message[1], "status": kind})
                     current = None
-                elif kind == "failed":
-                    failure = WorkerFailure(**message[2])
-                    outcome.failures.append(failure)
-                    if current is not None and current["engine"] == message[1]:
-                        current["status"] = "failed"
-                    else:
-                        outcome.attempts.append(
-                            {"engine": message[1], "status": "failed"})
-                    current = None
+                elif kind == "retiring":
+                    worker.retiring = True
                 elif kind == "result":
                     _, engine, result, stats = message
                     if current is not None and current["engine"] == engine:
@@ -639,161 +712,29 @@ class ExecutorService:
                     if stats is not None:
                         outcome.stats = stats
                         outcome.worker_records.append(stats)
-                    attempt_span.annotate(engine=engine, status="result")
-                    return ("result", engine)
+                    attempt_span.annotate(engine=engine)
+                    status = "result"
                 elif kind == "exhausted":
-                    stats = message[1] if len(message) > 1 else None
-                    if stats is not None:
-                        outcome.worker_records.append(stats)
-                    attempt_span.annotate(status="exhausted")
-                    return ("exhausted", None)
+                    if message[1] is not None:
+                        outcome.worker_records.append(message[1])
+                    status = "exhausted"
+        except (EOFError, OSError):
+            status = "died"
         finally:
+            attempt_span.annotate(status=status)
             attempt_span.finish()
-            parent_conn.close()
-            self._reap(process)
-
-    @staticmethod
-    def _record_death(outcome: BatchOutcome, current: dict | None) -> None:
-        engine = current["engine"] if current else "?"
-        outcome.failures.append(WorkerFailure(
-            engine=engine, error_type="WorkerDied",
-            message="worker process exited without reporting a result",
-            traceback="",
-        ))
-
-    @staticmethod
-    def _reap(process) -> None:
-        if process.is_alive():
-            process.terminate()
-        process.join(timeout=5)
-        if process.is_alive():  # pragma: no cover - stuck in uninterruptible IO
-            process.kill()
-            process.join(timeout=5)
-
-    # --------------------------------------------------------------- race
-
-    def _run_race(self, problem: Problem, outcome: BatchOutcome,
-                  timeout: float | None) -> None:
-        """Race all conclusive admitted engines; first conclusive verdict
-        wins, losers are terminated.  Leaves ``outcome.result`` unset when
-        the race is not applicable or produced no conclusive verdict — the
-        ladder then takes over (excluding engines the race already ran) —
-        except that a race's *inconclusive* result is kept as a fallback if
-        the ladder also comes up empty."""
-        if problem.engine is not None:
-            return
-        registry = default_registry()
-        try:
-            contenders = [engine.name
-                          for engine in registry.candidates(problem)
-                          if engine.conclusive and engine.admits(problem)]
-        except Exception:
-            return  # admits() raised; let the ladder sort it out
-        if len(contenders) < 2:
-            return
-        race_span = obs.span("race", contenders=len(contenders)).start()
-        entries = []  # (engine, process, conn, attempt_dict)
-        for name in contenders:
-            parent_conn, child_conn = self._ctx.Pipe(duplex=False)
-            process = self._ctx.Process(
-                target=solve_in_child,
-                args=(child_conn, problem, frozenset(), self.collect_stats,
-                      name),
-                daemon=True,
-            )
-            process.start()
-            child_conn.close()
-            attempt = {"engine": name, "status": "racing"}
-            outcome.attempts.append(attempt)
-            entries.append((name, process, parent_conn, attempt))
-        by_conn = {conn: (name, process, attempt)
-                   for name, process, conn, attempt in entries}
-        deadline = None if timeout is None \
-            else time.perf_counter() + timeout
-        stash: tuple[Result, str, dict | None] | None = None
-        try:
-            pending = set(by_conn)
-            while pending:
-                if deadline is None:
-                    ready = _conn_wait(list(pending), timeout=_POLL_S)
-                else:
-                    remaining = deadline - time.perf_counter()
-                    if remaining <= 0:
-                        break
-                    ready = _conn_wait(list(pending), timeout=remaining)
-                if not ready:
-                    if deadline is not None:
-                        break  # race timed out
-                    if not any(process.is_alive()
-                               for _, process, _ in
-                               (by_conn[conn] for conn in pending)):
-                        break
-                    continue
-                for conn in ready:
-                    name, process, attempt = by_conn[conn]
-                    try:
-                        message = conn.recv()
-                    except EOFError:
-                        pending.discard(conn)
-                        attempt["status"] = "died"
-                        self._record_death(outcome, attempt)
-                        continue
-                    kind = message[0]
-                    if kind == "trying":
-                        continue
-                    if kind == "declined":
-                        attempt["status"] = "declined"
-                        pending.discard(conn)
-                    elif kind == "failed":
-                        attempt["status"] = "failed"
-                        outcome.failures.append(WorkerFailure(**message[2]))
-                        pending.discard(conn)
-                    elif kind == "exhausted":
-                        stats = message[1] if len(message) > 1 else None
-                        if stats is not None:
-                            outcome.worker_records.append(stats)
-                        pending.discard(conn)
-                    elif kind == "result":
-                        _, engine, result, stats = message
-                        if stats is not None:
-                            outcome.worker_records.append(stats)
-                        if result.conclusive:
-                            attempt["status"] = "result"
-                            for other in pending:
-                                if other is not conn:
-                                    by_conn[other][2]["status"] = "lost-race"
-                            outcome.result = result
-                            outcome.engine = engine
-                            outcome.race_winner = engine
-                            if stats is not None:
-                                outcome.stats = stats
-                            race_span.annotate(winner=engine)
-                            return
-                        attempt["status"] = "inconclusive"
-                        if stash is None:
-                            stash = (result, engine, stats)
-                        pending.discard(conn)
-        finally:
-            for _, process, conn, attempt in entries:
-                if attempt["status"] == "racing":
-                    attempt["status"] = "timeout" if deadline is not None \
-                        else "lost-race"
-                try:
-                    conn.close()
-                except OSError:
-                    pass
-                self._reap(process)
-            race_span.finish()
-        if stash is not None and outcome.result is None:
-            # No conclusive winner; remember the inconclusive verdict in
-            # case the ladder cannot do better.
-            outcome.attempts.append(
-                {"engine": stash[1], "status": "race-fallback"})
-            result, engine, stats = stash
-            outcome.result = result
-            outcome.engine = engine
-            if stats is not None:
-                outcome.stats = stats
+            self._checkin(worker, status)
+        if status in ("timeout", "died"):
+            if current is not None:
+                current["status"] = status
+            if status == "died":
+                outcome.failures.append(WorkerFailure(
+                    engine=current["engine"] if current else "?",
+                    error_type="WorkerDied",
+                    message="worker process exited without reporting a "
+                            "result",
+                    traceback=""))
+        return status, current["engine"] if current else None
 
     # ------------------------------------------------------------ metrics
 
@@ -819,9 +760,6 @@ class ExecutorService:
                 obs.count("batch.unsolved")
             if outcome.failures:
                 obs.count("batch.worker_failures", len(outcome.failures))
-            if outcome.race_winner is not None:
-                obs.count("batch.race.races")
-                obs.count(f"batch.race.win.{outcome.race_winner}")
             for attempt in outcome.attempts:
                 if attempt["status"] == "timeout":
                     obs.count("batch.timeouts")
@@ -851,13 +789,12 @@ class BatchRunner:
         self,
         workers: int | None = None,
         timeout: float | None = None,
-        race: bool = False,
         cache: VerdictCache | str | Path | None = None,
         collect_stats: bool = False,
         mp_context: str | multiprocessing.context.BaseContext | None = None,
     ):
         self.service = ExecutorService(
-            workers=workers, timeout=timeout, race=race, cache=cache,
+            workers=workers, timeout=timeout, cache=cache,
             collect_stats=collect_stats, mp_context=mp_context)
 
     @property
@@ -867,10 +804,6 @@ class BatchRunner:
     @property
     def timeout(self) -> float | None:
         return self.service.timeout
-
-    @property
-    def race(self) -> bool:
-        return self.service.race
 
     @property
     def cache(self) -> VerdictCache | None:
@@ -885,9 +818,9 @@ class BatchRunner:
         try:
             return self.service.run(problems)
         finally:
-            # Pool-shutdown hygiene, preserved from the pre-service
-            # runner: one-shot batches leave neither warm sessions nor
-            # idle coordinator threads behind.
+            # Pool-shutdown hygiene: one-shot batches leave neither warm
+            # sessions, idle coordinator threads nor worker processes
+            # behind.
             self.service.release()
             from ..analysis.session import reset_sessions
 
@@ -902,7 +835,6 @@ def run_batch(
     *,
     workers: int | None = None,
     timeout: float | None = None,
-    race: bool = False,
     cache: VerdictCache | str | Path | None = None,
     collect_stats: bool = False,
     stats: bool = False,
@@ -911,8 +843,8 @@ def run_batch(
     """Run ``problems`` through a fresh :class:`BatchRunner`.  With
     ``stats=True`` the whole batch runs inside an obs recording whose run
     record lands on ``BatchReport.stats``."""
-    runner = BatchRunner(workers=workers, timeout=timeout, race=race,
-                         cache=cache, collect_stats=collect_stats,
+    runner = BatchRunner(workers=workers, timeout=timeout, cache=cache,
+                         collect_stats=collect_stats,
                          mp_context=mp_context)
     if not stats:
         return runner.run(problems)
@@ -920,18 +852,6 @@ def run_batch(
         report = runner.run(problems)
     report.stats = recording.to_run_record().to_dict()
     return report
-
-
-def _engine_preference(method: str) -> str | None:
-    if method == "auto":
-        return None
-    registry = default_registry()
-    if method not in registry.names():
-        raise ValueError(
-            f"unknown method {method!r} (expected 'auto' or one of: "
-            f"{', '.join(registry.names())})"
-        )
-    return method
 
 
 def _checked_results(report: BatchReport, what: str) -> list[Result]:
@@ -956,7 +876,6 @@ def contains_many(
     max_nodes: int = DEFAULT_MAX_NODES,
     workers: int | None = None,
     timeout: float | None = None,
-    race: bool = False,
     cache: VerdictCache | str | Path | None = None,
     mp_context=None,
 ) -> list[ContainmentResult]:
@@ -970,7 +889,7 @@ def contains_many(
                 max_nodes=max_nodes, engine=engine)
         for alpha, beta in pairs
     ]
-    report = run_batch(problems, workers=workers, timeout=timeout, race=race,
+    report = run_batch(problems, workers=workers, timeout=timeout,
                        cache=cache, mp_context=mp_context)
     results = _checked_results(report, "containment")
     assert all(isinstance(result, ContainmentResult) for result in results)
@@ -985,7 +904,6 @@ def satisfiable_many(
     max_nodes: int = DEFAULT_MAX_NODES,
     workers: int | None = None,
     timeout: float | None = None,
-    race: bool = False,
     cache: VerdictCache | str | Path | None = None,
     mp_context=None,
 ) -> list[SatResult]:
@@ -996,7 +914,7 @@ def satisfiable_many(
                 max_nodes=max_nodes, engine=engine)
         for phi in exprs
     ]
-    report = run_batch(problems, workers=workers, timeout=timeout, race=race,
+    report = run_batch(problems, workers=workers, timeout=timeout,
                        cache=cache, mp_context=mp_context)
     results = _checked_results(report, "satisfiability")
     assert all(isinstance(result, SatResult) for result in results)

@@ -1,14 +1,20 @@
-"""Child-process side of the batch runner.
+"""Child-process side of the executor: one resident worker.
 
-One worker process decides one problem (or, under racing, one engine's
-attempt at one problem) and streams progress back to the parent over a
-pipe.  The parent never trusts a worker to stay healthy: an engine that
-raises is converted into a structured :class:`WorkerFailure` message, an
-engine that declines is reported and the ladder moves on, and a worker
-that hangs is terminated by the parent's per-attempt timeout — none of
-these poison the pool or leak into other problems' verdicts.
+A worker is forked once and then decides problem after problem handed to
+it over a duplex pipe, until the parent closes the pipe, terminates it, or
+it retires itself.  Every problem goes through
+:meth:`~repro.analysis.registry.EngineRegistry.plan_and_run` — the same
+ladder the sequential API walks — with the parent's ``exclude`` set and a
+progress hook that streams each top-level engine attempt back.  The parent
+never trusts a worker to stay healthy: an engine that raises becomes a
+structured :class:`WorkerFailure` message, an engine that declines is
+reported and the ladder moves on, and a worker that hangs or dies is
+killed and replaced by the parent (see :mod:`repro.parallel.runner`) —
+none of these poison the pool or leak into other problems' verdicts.
 
-Message protocol (child → parent), in order:
+Message protocol.  Parent → worker: ``(problem, exclude, collect_stats)``
+per task; ``None`` (or a closed pipe) asks the worker to exit.  Worker →
+parent, per task, in order:
 
 * ``("trying", engine)`` — a new engine attempt begins.  The parent resets
   its per-attempt timeout clock on this message, so each engine gets the
@@ -16,37 +22,43 @@ Message protocol (child → parent), in order:
 * ``("declined", engine, reason)`` — the engine declined at runtime (its
   ``solve`` returned ``None``, e.g. the EXPSPACE memory guard).
 * ``("failed", engine, failure_dict)`` — the engine raised; the exception
-  is re-raised *as data* (a :class:`WorkerFailure` rendering), never as a
-  live exception crossing the process boundary.
-* ``("result", engine, result, run_record_or_None)`` — a verdict.
+  crosses the process boundary *as data* (a :class:`WorkerFailure`
+  rendering), never as a live exception.
+* ``("retiring",)`` — optional: this is the worker's last task (see
+  :data:`MAX_TASKS` and :data:`MAX_RSS_GROWTH`); it exits after the final
+  message below.
+* ``("result", engine, result, run_record_or_None)`` — a verdict; final.
 * ``("exhausted", run_record_or_None)`` — every eligible engine declined
-  or failed; the run record (``collect_stats=True`` only) still ships so
-  the trace shows what the worker tried.
+  or failed; final.  The run record still ships so the trace shows what
+  the worker tried.
 
-With ``collect_stats=True`` the worker wraps its whole ladder walk in an
-obs recording whose run record — span tree with wall-clock anchors, the
-worker's ``pid`` in ``meta`` — rides back on the final message.  The
-parent merges these per-process records into one Chrome trace timeline
-(:func:`repro.obs.traceout.batch_trace`).
-
-The engine ladder mirrors :meth:`EngineRegistry.plan_and_run`: admitted
-engines cheapest-first, runtime declines and exceptions fall through.  It
-is re-entrant across worker restarts — the parent passes the set of
-engines already tried (timed out, declined, or failed) as ``exclude`` so a
-respawned worker resumes at the next-cheapest engine.
+With ``collect_stats`` set, the worker wraps the task in an obs recording
+whose run record — span tree with wall-clock anchors, one ``engine.<name>``
+span per attempt, the worker's ``pid`` in ``meta`` — rides back on the
+final message.  The parent merges these per-process records into one
+Chrome trace timeline (:func:`repro.obs.traceout.batch_trace`).
 """
 
 from __future__ import annotations
 
+import gc
 import os
+import signal
+import stat
 import traceback
 from dataclasses import asdict, dataclass
 
 from .. import obs
-from ..analysis.problems import Problem, ProblemKind
-from ..analysis.registry import Engine, default_registry
+from ..analysis.problems import Problem
+from ..analysis.registry import EngineDeclined, default_registry
 
-__all__ = ["WorkerFailure", "solve_in_child"]
+__all__ = ["MAX_RSS_GROWTH", "MAX_TASKS", "WorkerFailure", "serve"]
+
+#: A worker retires itself after deciding this many problems ...
+MAX_TASKS = 1000
+#: ... or once its resident set has grown this many bytes past its size
+#: when it started (engine memo tables and interned terms accumulate).
+MAX_RSS_GROWTH = 256 * 1024 * 1024
 
 
 @dataclass(frozen=True)
@@ -71,100 +83,141 @@ class WorkerFailure:
         )
 
 
-def _ladder(problem: Problem, exclude: frozenset[str],
-            only_engine: str | None) -> list[Engine]:
-    """The engines this worker may try, in dispatch order."""
-    registry = default_registry()
-    if only_engine is not None:
-        return [registry.get(only_engine)]
-    forced = problem.engine
-    if forced is not None and problem.kind is not ProblemKind.EQUIVALENCE:
-        # A forced engine is the whole ladder (equivalence forwards the
-        # preference to its per-direction subproblems instead).
-        return [] if forced in exclude else [registry.get(forced)]
-    return [engine for engine in registry.candidates(problem)
-            if engine.name not in exclude]
+def _rss_bytes() -> int:
+    """This process's resident set size (0 where ``/proc`` is missing)."""
+    try:
+        with open("/proc/self/statm", encoding="ascii") as handle:
+            pages = int(handle.read().split()[1])
+    except (OSError, ValueError, IndexError):
+        return 0
+    return pages * os.sysconf("SC_PAGE_SIZE")
 
 
-def solve_in_child(conn, problem: Problem, exclude: frozenset[str],
-                   collect_stats: bool, only_engine: str | None = None) -> None:
-    """Process entry point: walk the engine ladder, streaming messages.
+def _detach_inherited_sockets(keep: int) -> None:
+    """Point every socket fd inherited from the parent, except ``keep``,
+    at ``/dev/null``.
 
-    Never raises: every failure mode becomes a message (or, at worst, a
-    closed pipe the parent observes as a dead worker).
+    A resident worker outlives the connections that were open when it
+    forked: holding their duplicates would keep a closed client
+    connection (or a drained listener) open, and holding a sibling
+    worker's pipe end would hide the parent's death from that sibling.
+    ``dup2`` rather than ``close`` keeps the fd numbers occupied, so a
+    stale inherited socket object that is finalized later cannot close an
+    unrelated file that reused its number.
     """
-    from ..analysis.session import discard_incomplete_sessions, session_for
+    try:
+        fds = [int(name) for name in os.listdir("/proc/self/fd")]
+    except OSError:
+        return  # no /proc: keep the inherited descriptors
+    devnull = os.open(os.devnull, os.O_RDWR)
+    try:
+        for fd in fds:
+            if fd in (keep, devnull):
+                continue
+            try:
+                if stat.S_ISSOCK(os.fstat(fd).st_mode):
+                    os.dup2(devnull, fd)
+            except OSError:
+                pass  # closed meanwhile (the listing's own descriptor)
+    finally:
+        os.close(devnull)
+
+
+def serve(conn) -> None:
+    """Process entry point: decide tasks from ``conn`` until told to stop.
+
+    Never raises: every engine failure becomes a message, and a parent
+    that went away (closed pipe) simply ends the loop.
+    """
+    from ..analysis.session import discard_incomplete_sessions
 
     # Fork hygiene, belt-and-braces with the session module's
     # ``os.register_at_fork`` hook: a session whose compile was in flight
     # in the parent at fork time must never be observed here.  (Under
     # ``spawn`` the registry starts empty and this is a no-op.)
     discard_incomplete_sessions()
-    recording = None
-    if collect_stats:
-        recording = obs.record("batch.worker").start()
-        recording.note("pid", os.getpid())
-
-    def finish_recording() -> dict | None:
-        nonlocal recording
-        if recording is None:
-            return None
-        recording.stop()
-        stats = recording.to_run_record().to_dict()
-        recording = None
-        return stats
-
+    _detach_inherited_sockets(conn.fileno())
+    # Ctrl-C reaches the whole process group; the parent owns it and
+    # terminates the pool on the way out.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    # Everything inherited from the parent lives as long as the worker:
+    # keep it out of every later collection.  Engines allocate heavily,
+    # and full collections re-walking the inherited heap cost a resident
+    # worker more than a fresh fork per problem paid.
+    gc.freeze()
+    baseline = _rss_bytes()
+    tasks = 0
     try:
-        try:
-            engines = _ladder(problem, exclude, only_engine)
-        except ValueError as error:  # unknown engine name
-            conn.send(("failed", only_engine or problem.engine or "?",
-                       WorkerFailure.from_exception("?", error).to_dict()))
-            conn.send(("exhausted", finish_recording()))
-            return
-        for engine in engines:
-            try:
-                admitted = engine.admits(problem)
-            except Exception as error:
-                conn.send(("failed", engine.name,
-                           WorkerFailure.from_exception(engine.name,
-                                                        error).to_dict()))
-                continue
-            if not admitted:
-                continue
-            conn.send(("trying", engine.name))
-            engine_span = obs.span(f"engine.{engine.name}").start()
-            try:
-                # One session per problem, shared down the ladder; under
-                # the default fork start method the parent precompiled it,
-                # so this is a registry hit, not a compile.
-                result = engine.solve(problem, session_for(problem))
-            except Exception as error:
-                engine_span.annotate(status="failed")
-                engine_span.finish()
-                conn.send(("failed", engine.name,
-                           WorkerFailure.from_exception(engine.name,
-                                                        error).to_dict()))
-                continue
-            if result is None:
-                engine_span.annotate(status="declined")
-                engine_span.finish()
-                conn.send(("declined", engine.name, "declined at runtime"))
-                continue
-            engine_span.annotate(status="result")
-            engine_span.finish()
-            if recording is not None:
-                recording.note("engine", engine.name)
-                recording.note("verdict", result.verdict.value)
-            conn.send(("result", engine.name, result, finish_recording()))
-            return
-        conn.send(("exhausted", finish_recording()))
-    except (BrokenPipeError, OSError):
-        pass  # parent went away (timeout terminate racing with a send)
+        while True:
+            task = conn.recv()
+            if task is None:
+                return
+            final = _solve(conn, *task)
+            tasks += 1
+            retiring = tasks >= MAX_TASKS \
+                or _rss_bytes() - baseline > MAX_RSS_GROWTH
+            if retiring:
+                conn.send(("retiring",))
+            conn.send(final)
+            if retiring:
+                return
+    except (EOFError, OSError):
+        pass  # parent went away (or terminated us mid-send)
     finally:
-        if recording is not None:
-            recording.stop()
         try:
             conn.close()
         except OSError:
             pass
+
+
+def _solve(conn, problem: Problem, exclude: frozenset[str],
+           collect_stats: bool) -> tuple:
+    """Decide one problem, streaming progress; returns the final message."""
+    recording = None
+    if collect_stats:
+        recording = obs.record("batch.worker").start()
+        recording.note("pid", os.getpid())
+    spans: dict = {}
+    reported: list[BaseException] = []
+    winner = None
+
+    def progress(event: str, engine: str, detail) -> None:
+        nonlocal winner
+        if event == "trying":
+            spans[engine] = obs.span(f"engine.{engine}").start()
+            conn.send(("trying", engine))
+            return
+        span = spans.pop(engine, None)
+        if span is not None:
+            span.annotate(status=event)
+            span.finish()
+        if event == "declined":
+            conn.send(("declined", engine, detail))
+        elif event == "failed":
+            reported.append(detail)
+            conn.send(("failed", engine, WorkerFailure.from_exception(
+                engine, detail).to_dict()))
+        else:
+            winner = engine
+
+    result = None
+    try:
+        result = default_registry().plan_and_run(
+            problem, exclude=exclude, progress=progress)
+    except EngineDeclined:
+        pass  # every decline was already reported (or none admitted)
+    except Exception as error:
+        if not any(error is seen for seen in reported):
+            # Raised outside any engine attempt: an unknown forced engine
+            # or an ``admits`` bug.
+            conn.send(("failed", problem.engine or "?",
+                       WorkerFailure.from_exception("?", error).to_dict()))
+    stats = None
+    if recording is not None:
+        if result is not None:
+            recording.note("engine", winner)
+            recording.note("verdict", result.verdict.value)
+        stats = recording.stop().to_run_record().to_dict()
+    if result is None:
+        return ("exhausted", stats)
+    return ("result", winner, result, stats)

@@ -28,6 +28,7 @@ compile time.
 
 from __future__ import annotations
 
+import os
 import threading
 from typing import Mapping, Union as TypingUnion
 
@@ -520,6 +521,18 @@ class _Compiler:
 
 
 _cache_lock = threading.RLock()
+
+
+def _after_fork_in_child() -> None:
+    # A parent thread compiling a plan at fork time would leave the child's
+    # copy of the lock held forever.
+    global _cache_lock
+    _cache_lock = threading.RLock()
+
+
+if hasattr(os, "register_at_fork"):  # pragma: no branch - POSIX only
+    os.register_at_fork(after_in_child=_after_fork_in_child)
+
 #: (pipeline level, *intern keys of the canonical roots) -> compiled plan.
 _PLAN_CACHE: dict[tuple, Plan] = {}
 _cache_hits = 0

@@ -2,7 +2,7 @@
 
 :class:`ReproServer` keeps one resident
 :class:`~repro.parallel.runner.ExecutorService` (warm schema sessions,
-fork-per-attempt workers) behind one shared two-tier
+a pool of resident worker processes) behind one shared two-tier
 :class:`~repro.parallel.cache.VerdictCache` and serves decision problems
 over two stdlib-only asyncio transports:
 
@@ -118,7 +118,6 @@ class ServerConfig:
     #: Executor shape (see :class:`ExecutorService`).
     workers: int | None = None
     timeout: float | None = None
-    race: bool = False
     #: Verdict cache: directory (``None`` = the default), disable switch,
     #: and disk-tier bounds enforced on every store.
     cache_dir: str | None = None
@@ -172,7 +171,7 @@ class ReproServer:
                 max_bytes=self.config.cache_max_bytes)
         self.service = ExecutorService(
             workers=self.config.workers, timeout=self.config.timeout,
-            race=self.config.race, cache=self.cache)
+            cache=self.cache)
         self._counters = {key: 0 for key in _COUNTER_KEYS}
         self._lock = threading.Lock()
         self._inflight = 0

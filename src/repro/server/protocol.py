@@ -93,8 +93,6 @@ def outcome_record(record_id, kind_name: str, outcome) -> dict:
     record["engine"] = outcome.engine
     record["cache"] = "hit" if outcome.cache_hit else "miss"
     record["elapsed_s"] = round(outcome.worker_time_s, 6)
-    if outcome.race_winner is not None:
-        record["race_winner"] = outcome.race_winner
     if outcome.failures:
         record["engine_failures"] = [
             {"engine": failure.engine, "error": failure.error_type,

@@ -23,6 +23,7 @@ small (thousands, not millions).
 
 from __future__ import annotations
 
+import os
 import sys
 import threading
 from typing import Callable
@@ -101,6 +102,17 @@ class DenseInterner:
         return len(self._table)
 
 _lock = threading.RLock()
+
+
+def _after_fork_in_child() -> None:
+    # A parent thread interning at fork time would leave the child's copy
+    # of the lock held forever.
+    global _lock
+    _lock = threading.RLock()
+
+
+if hasattr(os, "register_at_fork"):  # pragma: no branch - POSIX only
+    os.register_at_fork(after_in_child=_after_fork_in_child)
 
 #: Interning walks the AST recursively; generated formulas (DTD encodings,
 #: the Theorem 30 reductions) nest deeply enough to exceed CPython's

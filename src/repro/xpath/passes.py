@@ -54,6 +54,7 @@ is a dictionary hit.
 
 from __future__ import annotations
 
+import os
 import threading
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
@@ -635,6 +636,18 @@ def get_pipeline(name: str) -> Pipeline:
 
 
 _lock = threading.RLock()
+
+
+def _after_fork_in_child() -> None:
+    # A parent thread canonicalizing at fork time would leave the child's
+    # copy of the lock held forever.
+    global _lock
+    _lock = threading.RLock()
+
+
+if hasattr(os, "register_at_fork"):  # pragma: no branch - POSIX only
+    os.register_at_fork(after_in_child=_after_fork_in_child)
+
 _DEFAULT_LEVEL = "full"
 #: (level, alphabet, id(interned input)) -> canonical form.  Canonical
 #: instances are immortal (the intern table holds them), so id-keys are safe.

@@ -123,7 +123,7 @@ class TestLegacyMigration:
         for problem in problems:
             assert fresh.get(problem) is not None
             key = problem_fingerprint(problem)
-            assert fresh._path(key).exists()
+            assert os.path.exists(fresh._path(key))
             assert not (tmp_path / f"{key}.json").exists()
         assert fresh.disk_hits == len(problems)
 
@@ -142,7 +142,7 @@ class TestMemoryTier:
         cache = VerdictCache(tmp_path)
         problem = _problem(0)
         cache.put(problem, _result())
-        cache._path(problem_fingerprint(problem)).unlink()
+        os.unlink(cache._path(problem_fingerprint(problem)))
         assert cache.get(problem) is not None
         assert (cache.mem_hits, cache.disk_hits) == (1, 0)
 

@@ -1,16 +1,20 @@
-"""Tests for repro.parallel: the batch runner, the verdict cache, engine
-racing, timeouts, and worker-failure isolation.
+"""Tests for repro.parallel: the batch runner, the verdict cache,
+timeouts, worker-failure isolation, and the resident worker pool's
+lifecycle (replacement, recycling, reaping).
 
 The pool uses the ``fork`` start method, so engine doubles registered in
 the *parent's* default registry (the ``Raiser``/``Sleeper`` classes below)
-are inherited by worker processes without pickling; only results cross
-the pipe.
+before the pool starts are inherited by worker processes without
+pickling; problems and results cross the pipe.
 """
 
 from __future__ import annotations
 
 import json
+import multiprocessing
+import os
 import random
+import signal
 import time
 
 import pytest
@@ -27,6 +31,7 @@ from repro.analysis.registry import Engine
 from repro.parallel import (
     BatchError,
     BatchRunner,
+    ExecutorService,
     VerdictCache,
     contains_many,
     problem_fingerprint,
@@ -68,7 +73,7 @@ class Sleeper(Engine):
     """Hangs far past any test timeout; only a terminate stops it."""
 
     name = "test-sleeper"
-    conclusive = True  # a race contender
+    conclusive = True
     cost_hint = 1
 
     def admits(self, problem):
@@ -275,7 +280,7 @@ class TestDifferential:
     """The tentpole contract: batch verdicts == sequential verdicts, under
     every pool configuration, including poisoned and hanging engines."""
 
-    def test_pool_race_and_cache_match_sequential(self, tmp_path):
+    def test_pool_and_cache_match_sequential(self, tmp_path):
         pairs = _pairs(seed=7, count=12)
         sequential = [contains(alpha, beta, max_nodes=3)
                       for alpha, beta in pairs]
@@ -289,9 +294,6 @@ class TestDifferential:
         warm = contains_many(pairs, max_nodes=3, workers=2, cache=warm_cache)
         assert _canon(warm) == want
         assert warm_cache.info()["hits"] == len(pairs)
-
-        raced = contains_many(pairs, max_nodes=3, workers=2, race=True)
-        assert _canon(raced) == want
 
     def test_raising_first_engine_changes_nothing(self, register_engine):
         register_engine(Raiser())
@@ -340,33 +342,6 @@ class TestDifferential:
         assert all(isinstance(result, SatResult) for result in batch)
 
 
-# ------------------------------------------------------------------ racing
-
-
-class TestRacing:
-    def test_first_conclusive_verdict_wins(self, register_engine):
-        register_engine(Sleeper())
-        report = run_batch(
-            [Problem(ProblemKind.CONTAINMENT, alpha=parse_path("down[p]"),
-                     beta=parse_path("down"))],
-            workers=1, race=True, timeout=10.0)
-        [outcome] = report.outcomes
-        assert outcome.result is not None and outcome.result.conclusive
-        assert outcome.race_winner in ("patterns", "expspace")
-        statuses = {attempt["engine"]: attempt["status"]
-                    for attempt in outcome.attempts}
-        assert statuses["test-sleeper"] == "lost-race"
-
-    def test_forced_engine_skips_the_race(self):
-        report = run_batch(
-            [Problem(ProblemKind.CONTAINMENT, alpha=parse_path("down[p]"),
-                     beta=parse_path("down"), engine="bounded")],
-            workers=1, race=True)
-        [outcome] = report.outcomes
-        assert outcome.race_winner is None
-        assert outcome.engine == "bounded"
-
-
 # ------------------------------------------------------- failure isolation
 
 
@@ -405,6 +380,123 @@ class TestFailureIsolation:
         assert last.result is not None
         assert encode_result(first.result) == encode_result(last.result)
         assert bad.result is None and bad.error is not None
+
+
+# ------------------------------------------------------ resident worker pool
+
+
+class SelfKiller(Engine):
+    """SIGKILLs its own worker mid-solve: a crash no exception handler
+    sees."""
+
+    name = "test-self-killer"
+    conclusive = True
+    cost_hint = 1
+
+    def admits(self, problem):
+        return problem.kind is ProblemKind.CONTAINMENT
+
+    def solve(self, problem, session=None):
+        os.kill(os.getpid(), signal.SIGKILL)
+        time.sleep(60)
+
+
+def _attempt_pids(outcome) -> list[tuple[int, str]]:
+    """``(worker pid, status)`` of every attempt the coordinator made."""
+    from repro.obs import RunRecord
+
+    return [(span["attrs"]["pid"], span["attrs"]["status"])
+            for span in RunRecord.from_dict(outcome.coord_stats).iter_spans()
+            if span["name"] == "worker.attempt"]
+
+
+def _assert_reaped(pid: int) -> None:
+    """No process, zombie or otherwise, is left under ``pid``."""
+    assert not os.path.exists(f"/proc/{pid}"), pid
+
+
+class TestWorkerPool:
+    def _problem(self, depth: int, **kwargs) -> Problem:
+        alpha = "/".join(["down[p]"] * depth)
+        beta = "/".join(["down"] * depth)
+        return Problem(ProblemKind.CONTAINMENT, alpha=parse_path(alpha),
+                       beta=parse_path(beta), max_nodes=4, **kwargs)
+
+    def _sequential(self, problem: Problem):
+        return contains(problem.alpha, problem.beta,
+                        max_nodes=problem.max_nodes)
+
+    def test_timeout_replaces_the_worker(self, register_engine):
+        first, second = self._problem(2), self._problem(3, engine="patterns")
+        want = _canon([self._sequential(first), self._sequential(second)])
+        register_engine(Sleeper())
+        service = ExecutorService(workers=1, timeout=0.5, cache=None,
+                                  collect_stats=True)
+        try:
+            timed = service.submit(first).result(timeout=60)
+            [(killed, status), (survivor, _)] = _attempt_pids(timed)
+            assert status == "timeout" and killed != survivor
+            assert timed.attempts[0] == {"engine": "test-sleeper",
+                                         "status": "timeout"}
+            _assert_reaped(killed)
+            nxt = service.submit(second).result(timeout=60)
+            assert nxt.stats["meta"]["pid"] == survivor
+            assert _canon([timed.result, nxt.result]) == want
+            stats = service.stats()
+            assert (stats["spawned"], stats["replaced"],
+                    stats["workers_alive"]) == (2, 1, 1)
+            assert [child.pid for child in
+                    multiprocessing.active_children()] == [survivor]
+        finally:
+            service.close()
+        assert multiprocessing.active_children() == []
+        _assert_reaped(survivor)
+
+    def test_killed_worker_resumes_on_the_next_engine(self, register_engine):
+        problem = self._problem(2)
+        want = _canon([self._sequential(problem)])
+        register_engine(SelfKiller())
+        service = ExecutorService(workers=1, cache=None)
+        try:
+            outcome = service.submit(problem).result(timeout=60)
+            assert outcome.attempts[0] == {"engine": "test-self-killer",
+                                           "status": "died"}
+            assert outcome.failures[0].error_type == "WorkerDied"
+            assert outcome.engine not in (None, "test-self-killer")
+            assert _canon([outcome.result]) == want
+            assert service.stats()["replaced"] == 1
+        finally:
+            service.close()
+        assert multiprocessing.active_children() == []
+
+    def test_worker_recycles_after_task_limit(self, monkeypatch):
+        import repro.parallel.worker as worker_module
+
+        monkeypatch.setattr(worker_module, "MAX_TASKS", 2)
+        problems = [self._problem(depth) for depth in range(1, 6)]
+        want = _canon([self._sequential(problem) for problem in problems])
+        service = ExecutorService(workers=1, cache=None, collect_stats=True)
+        try:
+            outcomes = [service.submit(problem).result(timeout=60)
+                        for problem in problems]
+            assert _canon([outcome.result for outcome in outcomes]) == want
+            pids = [outcome.stats["meta"]["pid"] for outcome in outcomes]
+            assert pids[0] == pids[1] != pids[2] == pids[3] != pids[4]
+            stats = service.stats()
+            assert (stats["spawned"], stats["recycled"],
+                    stats["replaced"]) == (3, 2, 0)
+            for pid in pids[:4]:
+                _assert_reaped(pid)
+        finally:
+            service.close()
+        assert multiprocessing.active_children() == []
+
+    def test_batch_runner_reaps_its_pool(self):
+        problems = [self._problem(depth) for depth in range(1, 4)]
+        want = _canon([self._sequential(problem) for problem in problems])
+        report = BatchRunner(workers=2, cache=None).run(problems)
+        assert _canon(report.results()) == want
+        assert multiprocessing.active_children() == []
 
 
 # ----------------------------------------------------------- API mechanics

@@ -13,12 +13,13 @@ run of the same stream.
 from __future__ import annotations
 
 import json
+import multiprocessing
 import threading
 import time
 
 import pytest
 
-from repro.analysis import default_registry
+from repro.analysis import contains, default_registry
 from repro.analysis.problems import Problem, ProblemKind
 from repro.analysis.registry import Engine
 from repro.analysis.session import registry_stats, reset_sessions
@@ -93,6 +94,7 @@ class TestExecutorService:
         finally:
             service.close()
         assert registry_stats()["resident"] == 0  # close resets sessions
+        assert multiprocessing.active_children() == []  # and reaps workers
 
     def test_concurrent_submitters(self):
         service = ExecutorService(workers=4, cache=None)
@@ -403,6 +405,55 @@ class TestCliIntegration:
         records = [json.loads(line) for line
                    in capsys.readouterr().out.splitlines()]
         assert "unknown kind" in records[0]["error"]
+
+
+class TestWorkerPool:
+    def test_requests_share_the_pool_and_drain_reaps_it(self, tmp_path):
+        """Served verdicts match sequential ``contains``, every request
+        reuses the two workers forked for the first one, and a drain
+        leaves no worker process behind."""
+        pairs = [("down[p]/down[q]", "down/down"),
+                 ("down/down", "down[p]/down"),
+                 ("down[q]", "down"),
+                 ("down*[p]", "down")]
+        want = [contains(parse_path(alpha), parse_path(beta)).verdict.value
+                for alpha, beta in pairs]
+        handle = start_in_thread(_config(tmp_path, workers=2, no_cache=True))
+        try:
+            got = []
+            for alpha, beta in pairs:
+                status, body = http_json(
+                    handle.http_address, "/v1/contains",
+                    {"alpha": alpha, "beta": beta})
+                assert status == 200
+                got.append(body["verdict"])
+            assert got == want
+            _, stats = http_json(handle.http_address, "/stats")
+            executor = stats["executor"]
+            assert (executor["spawned"], executor["workers_alive"],
+                    executor["replaced"], executor["recycled"]) == (2, 2, 0, 0)
+            assert len(multiprocessing.active_children()) == 2
+        finally:
+            handle.stop()
+        assert multiprocessing.active_children() == []
+
+    def test_timed_out_request_replaces_a_worker(self, tmp_path, request):
+        problem = _contains()
+        want = contains(problem.alpha, problem.beta).verdict.value
+        # Registered only now: the sequential baseline must not sleep.
+        sleeper_engine = request.getfixturevalue("sleeper_engine")
+        config = _config(tmp_path, workers=1, no_cache=True)
+        with start_in_thread(config) as handle:
+            status, body = http_json(
+                handle.http_address, "/v1/contains",
+                {"alpha": "down[p]", "beta": "down", "timeout": 0.5})
+            assert status == 200
+            assert body["verdict"] == want
+            assert body["timeouts"] == [sleeper_engine]
+            _, stats = http_json(handle.http_address, "/stats")
+            assert (stats["executor"]["spawned"],
+                    stats["executor"]["replaced"]) == (2, 1)
+        assert multiprocessing.active_children() == []
 
 
 class TestDrain:
