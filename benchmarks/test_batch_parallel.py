@@ -9,9 +9,9 @@ Three configurations are measured on the *same* corpus:
 
 * **sequential** — one in-process :func:`repro.analysis.contains` call per
   pair (the pre-batch baseline);
-* **batch cold** — :class:`repro.parallel.BatchRunner` with 4 workers and
-  an empty on-disk :class:`VerdictCache`;
-* **batch warm** — a second runner over the same cache directory (fresh
+* **batch cold** — :class:`repro.parallel.ExecutorService` with 4 workers
+  and an empty on-disk :class:`VerdictCache`;
+* **batch warm** — a second service over the same cache directory (fresh
   cache object, so hits come off disk, not the in-memory layer).
 
 Verdicts must be *byte-identical* across all three (checked via the
@@ -28,7 +28,7 @@ import os
 import time
 
 from repro.analysis import contains
-from repro.parallel import BatchRunner, VerdictCache
+from repro.parallel import ExecutorService, VerdictCache
 from repro.parallel.cache import encode_result
 from repro.analysis.problems import Problem, ProblemKind
 from repro.xpath import parse_path
@@ -72,12 +72,12 @@ class TestBatchThroughput:
         ]
         sequential_s = time.perf_counter() - t0
 
-        cold_runner = BatchRunner(workers=WORKERS,
-                                  cache=VerdictCache(cache_dir))
-        cold = cold_runner.run(problems)
-        warm_runner = BatchRunner(workers=WORKERS,
-                                  cache=VerdictCache(cache_dir))
-        warm = warm_runner.run(problems)
+        with ExecutorService(workers=WORKERS,
+                             cache=VerdictCache(cache_dir)) as service:
+            cold = service.run(problems)
+        with ExecutorService(workers=WORKERS,
+                             cache=VerdictCache(cache_dir)) as service:
+            warm = service.run(problems)
 
         # Byte-identical verdicts: sequential == batch cold == batch warm.
         want = _canon(sequential)

@@ -39,7 +39,6 @@ from .semantics import evaluate_path, evaluate_nodes, holds_somewhere
 from .edtd import EDTD, DTD, book_edtd
 from .analysis import satisfiable, contains, equivalent, Verdict
 from .parallel import (
-    BatchRunner,
     VerdictCache,
     contains_many,
     run_batch,

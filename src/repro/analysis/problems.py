@@ -83,10 +83,10 @@ class Problem:
         """The same problem with the engine preference replaced."""
         return replace(self, engine=engine)
 
-    def canonical(self, level: str | None = None) -> "Problem":
+    def canonical(self) -> "Problem":
         """The same problem with every input expression canonicalized by
-        the rewrite pipeline (:mod:`repro.xpath.passes`) at ``level``
-        (default: the session level).
+        the rewrite pipeline (:mod:`repro.xpath.passes`) at the session
+        level.
 
         With a schema, the EDTD's concrete labels are passed as the
         alphabet, enabling dead-branch elimination — sound because the
@@ -104,7 +104,7 @@ class Problem:
         def canon(expr):
             if expr is None:
                 return None
-            return passes.canonical(expr, level=level, alphabet=alphabet)
+            return passes.canonical(expr, alphabet=alphabet)
 
         return replace(self, phi=canon(self.phi), alpha=canon(self.alpha),
                        beta=canon(self.beta))

@@ -62,12 +62,6 @@ class Engine:
     conclusive: bool = False
     #: Rough relative cost; the registry tries cheaper engines first.
     cost_hint: int = 100
-    #: Which rewrite-pipeline level (:data:`repro.xpath.passes.PIPELINES`)
-    #: this engine wants its inputs canonicalized at; ``None`` inherits the
-    #: session default (set by the CLI's ``--passes`` flag).  An engine that
-    #: declares a level gets the *original* problem re-canonicalized at
-    #: that level before ``solve``.
-    pipeline: str | None = None
 
     def admits(self, problem: Problem) -> bool:
         """Cheap syntactic admissibility check."""
@@ -89,7 +83,6 @@ class Engine:
             "name": self.name,
             "conclusive": self.conclusive,
             "cost_hint": self.cost_hint,
-            "pipeline": self.pipeline,
         }
 
 
@@ -150,13 +143,9 @@ class EngineRegistry:
 
         Every problem is canonicalized by the rewrite pipeline
         (:mod:`repro.xpath.passes`) before admission checks and dispatch,
-        at the session level — so fragment tests, plan-cache keys and
-        verdict-cache keys all see canonical forms.  An engine that
-        declares its own ``pipeline`` level gets the original problem
-        re-canonicalized at that level instead (memoized, so this costs a
-        dictionary hit).
+        at the session level — so fragment tests, plan-cache keys,
+        verdict-cache keys and every engine see the same canonical form.
         """
-        original = problem
         problem = problem.canonical()
         notify = progress or _no_progress
         candidates = [engine for engine in self.candidates(problem)
@@ -186,24 +175,14 @@ class EngineRegistry:
                     chosen = engine
         last_error: Exception | None = None
         dispatch_start = time.perf_counter()
-        session = None  # the canonical problem's session, resolved lazily
         with obs.span("dispatch", problem=problem.kind.value):
             from .session import session_for
 
+            session = session_for(problem) if chosen is not None else None
             while chosen is not None:
-                solve_input = problem if chosen.pipeline is None \
-                    else original.canonical(chosen.pipeline)
-                if solve_input is problem:
-                    if session is None:
-                        session = session_for(problem)
-                    attempt_session = session
-                else:
-                    # A custom-pipeline canonical form may mention a
-                    # different label alphabet — its own schema.
-                    attempt_session = session_for(solve_input)
                 notify("trying", chosen.name, None)
                 try:
-                    result = chosen.solve(solve_input, attempt_session)
+                    result = chosen.solve(problem, session)
                 except EngineDeclined as declined:
                     # A *clean* decline surfacing as an exception — e.g. a
                     # nested dispatch (equivalence sub-containments) whose

@@ -11,7 +11,7 @@ per ``schema_id`` (asserted by the ``schema.compile.count`` counter) and
 every later problem with the same id reuses it.
 
 Sessions are **worker-local**: the registry below is per-process, so each
-forked :class:`~repro.parallel.runner.BatchRunner` worker grows its own
+forked :class:`~repro.parallel.runner.ExecutorService` worker grows its own
 warm session per schema and nothing is ever shared (or pickled) across
 processes.  Under the default ``fork`` start method the runner compiles
 each schema in the parent *before* spawning workers, so children inherit

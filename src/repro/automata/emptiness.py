@@ -62,10 +62,10 @@ kernels (DESIGN.md §11):
   :class:`~repro.analysis.session.SchemaSession` does this for batches).
   When every ``loop`` test occurs positively, the kernel additionally
   prunes the saturation pool to an *antichain* under pointwise relation
-  inclusion — dominated summary vectors are never swept as children
-  (kill-switch: ``REPRO_EMPTINESS_ANTICHAIN=off``).
+  inclusion — dominated summary vectors are never swept as children.
 * ``reference`` — the original frozenset-of-pairs algebra, kept verbatim
-  as a differential-testing oracle (``REPRO_EMPTINESS_KERNEL=reference``).
+  as a differential-testing oracle (``decide_emptiness(kernel=
+  "reference")``).
 
 Both kernels run the identical saturation/game logic of
 :class:`_CheckerBase` and are verdict-identical by construction; the
@@ -85,7 +85,6 @@ strategy is decoded back through the FCNS encoding into an
 
 from __future__ import annotations
 
-import os
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -116,8 +115,6 @@ from .nf import (
 from .twoata import TwoATA
 
 __all__ = [
-    "ANTICHAIN_ENV",
-    "KERNEL_ENV",
     "EmptinessLimit",
     "EmptinessResult",
     "decide_emptiness",
@@ -133,13 +130,8 @@ DEFAULT_MAX_CONTEXTS = 2_000
 #: first one is always the (well-founded) derivation that discovered it.
 _COMBOS_PER_ENTRY = 4
 
-#: Environment overrides: which relation-algebra kernel to run
-#: (``bitset``/``reference``) and whether the bitset kernel's antichain
-#: pruning is enabled (any of ``0/off/false/no`` disables it).
-KERNEL_ENV = "REPRO_EMPTINESS_KERNEL"
-ANTICHAIN_ENV = "REPRO_EMPTINESS_ANTICHAIN"
+#: The relation-algebra kernels :func:`decide_emptiness` can run.
 _KERNELS = ("bitset", "reference")
-_OFF_VALUES = frozenset({"0", "off", "false", "no"})
 
 
 class EmptinessLimit(RuntimeError):
@@ -833,7 +825,7 @@ class _ReferenceChecker(_CheckerBase):
     """The pre-bitset relation algebra, kept verbatim: relations are
     interned frozensets of state pairs, closures run a per-start DFS, and
     test predicates are compiled to Python closures.  Serves as the
-    differential-testing oracle (``REPRO_EMPTINESS_KERNEL=reference``)."""
+    differential-testing oracle (``kernel="reference"``)."""
 
     kernel = "reference"
 
@@ -1051,7 +1043,7 @@ class _BitsetChecker(_CheckerBase):
 
     def __init__(self, ata: TwoATA, max_evals: int, max_entries: int,
                  max_contexts: int, shared: KernelCache | None = None,
-                 antichain: bool | None = None):
+                 antichain: bool = True):
         self._shared = shared if shared is not None else KernelCache()
         self._table = FormulaTable()
         self._formula_memo: dict[tuple[NFExpr, bool], int] = {}
@@ -1072,15 +1064,10 @@ class _BitsetChecker(_CheckerBase):
         self._root_eval: CompiledEval = self._table.compile_eval(
             self._root_pred
         )
-        if antichain is None:
-            antichain = os.environ.get(
-                ANTICHAIN_ENV, "on"
-            ).strip().lower() not in _OFF_VALUES
         #: Pruning is sound only when inclusion is a simulation (see the
         #: class docstring): rank-0 bases and a monotone root predicate.
-        #: Either violation disables it regardless of the environment
-        #: switch.
-        self.antichain = bool(antichain) and self._monotone and self._rank0
+        #: Either violation disables it regardless of ``antichain``.
+        self.antichain = antichain and self._monotone and self._rank0
         self._dead: set[int] = set()
         offsets = []
         total = 0
@@ -1512,38 +1499,31 @@ class _BitsetChecker(_CheckerBase):
         return len(self._pool) - len(self._dead)
 
 
-def _resolve_kernel(kernel: str | None) -> str:
-    choice = (kernel or os.environ.get(KERNEL_ENV) or "bitset")
-    choice = choice.strip().lower()
-    if choice not in _KERNELS:
-        raise ValueError(
-            f"unknown emptiness kernel {choice!r}; expected one of {_KERNELS}"
-        )
-    return choice
-
-
 def decide_emptiness(
     ata: TwoATA,
     max_evals: int = DEFAULT_MAX_EVALS,
     max_entries: int = DEFAULT_MAX_ENTRIES,
     max_contexts: int = DEFAULT_MAX_CONTEXTS,
     *,
-    kernel: str | None = None,
+    kernel: str = "bitset",
     shared: KernelCache | None = None,
 ) -> EmptinessResult:
     """Is ``L(A_φ)`` empty?  Conclusive either way; raises
     :class:`EmptinessLimit` when the summary space outgrows the guards.
 
-    ``kernel`` selects the relation algebra (``bitset``/``reference``;
-    default from ``REPRO_EMPTINESS_KERNEL``, else ``bitset``); ``shared``
-    optionally threads a cross-problem :class:`KernelCache` into the
-    bitset kernel so repeated checks over the same bases reuse closure and
-    excursion results (ignored by the reference kernel).
+    ``kernel`` selects the relation algebra (``bitset``, the default, or
+    the ``reference`` oracle); ``shared`` optionally threads a
+    cross-problem :class:`KernelCache` into the bitset kernel so repeated
+    checks over the same bases reuse closure and excursion results
+    (ignored by the reference kernel).
     """
-    choice = _resolve_kernel(kernel)
+    if kernel not in _KERNELS:
+        raise ValueError(
+            f"unknown emptiness kernel {kernel!r}; expected one of {_KERNELS}"
+        )
     with obs.span("twoata.emptiness.solve"):
         with obs.span("twoata.emptiness.compile"):
-            if choice == "reference":
+            if kernel == "reference":
                 checker: _CheckerBase = _ReferenceChecker(
                     ata, max_evals=max_evals, max_entries=max_entries,
                     max_contexts=max_contexts)
@@ -1558,7 +1538,7 @@ def decide_emptiness(
         obs.count("twoata.emptiness.rounds", checker.rounds)
         obs.count("twoata.emptiness.wakes", checker.wakes_woken)
         obs.count("twoata.emptiness.combos_subsumed", checker.combos_subsumed)
-        if choice == "bitset":
+        if kernel == "bitset":
             obs.count("twoata.emptiness.antichain.pruned", checker.pruned)
             obs.gauge("twoata.emptiness.antichain.frontier_size",
                       checker.frontier_size())
@@ -1581,11 +1561,11 @@ def decide_emptiness(
             return EmptinessResult(True, None, len(checker.entries),
                                    len(checker._active), len(game.owner),
                                    checker.rounds, checker.evals,
-                                   choice, checker.pruned)
+                                   kernel, checker.pruned)
         with obs.span("twoata.emptiness.decode"):
             witness = checker.decode_witness(roots)
         obs.count("twoata.emptiness.witnesses_decoded")
         return EmptinessResult(False, witness, len(checker.entries),
                                len(checker._active), len(game.owner),
                                checker.rounds, checker.evals,
-                               choice, checker.pruned)
+                               kernel, checker.pruned)

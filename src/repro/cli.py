@@ -31,8 +31,7 @@ Commands
 The decision commands take ``--stats`` (human-readable run statistics on
 stderr), ``--trace FILE`` (a Chrome trace-event JSON file — load it at
 https://ui.perfetto.dev — whose ``otherData.runs`` carries the full
-:class:`repro.obs.RunRecord` dicts; ``-`` for stderr; ``--trace-json`` is
-an alias kept from the format's RunRecord-only first generation), and
+:class:`repro.obs.RunRecord` dicts; ``-`` for stderr), and
 ``--engine NAME`` to force a registered decision engine (``patterns``,
 ``expspace``, ``automata``, ``bounded``, ``random``; the default ``auto``
 lets the engine registry pick — see :mod:`repro.analysis.registry`), and
@@ -310,7 +309,7 @@ def _batch_via_server(args, lines) -> int:
 def _cmd_batch(args) -> int:
     from . import obs
     from .analysis import default_registry
-    from .parallel import BatchRunner, VerdictCache
+    from .parallel import ExecutorService, VerdictCache
 
     _apply_passes(args)
     if args.engine != "auto" and args.engine not in default_registry().names():
@@ -343,20 +342,21 @@ def _cmd_batch(args) -> int:
     cache = None if args.no_cache else VerdictCache(args.cache_dir)
     # --trace needs the full cross-process picture: coordinator-thread
     # recordings plus every worker's shipped run record.
-    runner = BatchRunner(workers=args.workers, timeout=args.timeout,
-                         cache=cache, collect_stats=bool(args.trace))
     trace_payload = None
-    if _wants_stats(args):
-        with obs.record("batch") as recording:
-            report = runner.run(problems)
-        stats = recording.to_run_record().to_dict()
-        if args.trace:
-            from .obs import traceout
+    stats = None
+    with ExecutorService(workers=args.workers, timeout=args.timeout,
+                         cache=cache,
+                         collect_stats=bool(args.trace)) as service:
+        if _wants_stats(args):
+            with obs.record("batch") as recording:
+                report = service.run(problems)
+            stats = recording.to_run_record().to_dict()
+        else:
+            report = service.run(problems)
+    if args.trace:
+        from .obs import traceout
 
-            trace_payload = traceout.batch_trace(report, coordinator=stats)
-    else:
-        report = runner.run(problems)
-        stats = None
+        trace_payload = traceout.batch_trace(report, coordinator=stats)
 
     records = [_batch_record(record_id, kind_name, outcome)
                for (record_id, kind_name), outcome
@@ -566,11 +566,10 @@ def _add_obs_flags(subparser: argparse.ArgumentParser) -> None:
         "--stats", action="store_true",
         help="print run statistics (engine, spans, counters) to stderr")
     subparser.add_argument(
-        "--trace", "--trace-json", dest="trace", metavar="FILE", default=None,
+        "--trace", metavar="FILE", default=None,
         help="write a Chrome trace-event JSON file to FILE ('-' for "
              "stderr): load it at https://ui.perfetto.dev; the full "
-             "RunRecords ride along under otherData.runs "
-             "(--trace-json is an alias)")
+             "RunRecords ride along under otherData.runs")
     subparser.add_argument(
         "--engine", metavar="NAME", default="auto",
         help="force a registered decision engine (e.g. patterns, expspace, "

@@ -28,10 +28,9 @@ Schema (version 2)::
       }
     }
 
-Version 1 records (no histograms, no trace/span ids) still load — the new
-fields default to empty.  The record is a plain-data object:
-``to_dict``/``from_dict`` round-trip exactly, and ``summary()`` renders
-the human-readable report behind the CLI's ``--stats`` flag.
+``from_dict`` rejects any other version.  The record is a plain-data
+object: ``to_dict``/``from_dict`` round-trip exactly, and ``summary()``
+renders the human-readable report behind the CLI's ``--stats`` flag.
 """
 
 from __future__ import annotations
@@ -43,10 +42,6 @@ from typing import Iterator
 __all__ = ["RunRecord", "SCHEMA_VERSION"]
 
 SCHEMA_VERSION = 2
-
-#: Versions ``from_dict`` accepts; older ones upgrade in place (missing
-#: fields default), newer ones are rejected.
-_READABLE_VERSIONS = frozenset({1, 2})
 
 
 def _format_duration(seconds: float | None) -> str:
@@ -90,7 +85,7 @@ class RunRecord:
     @classmethod
     def from_dict(cls, data: dict) -> "RunRecord":
         version = data.get("schema_version", SCHEMA_VERSION)
-        if version not in _READABLE_VERSIONS:
+        if version != SCHEMA_VERSION:
             raise ValueError(f"unsupported RunRecord schema version {version}")
         return cls(
             name=data["name"],

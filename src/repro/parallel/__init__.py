@@ -2,8 +2,7 @@
 
 The sequential analysis API (:func:`repro.analysis.contains` and friends)
 decides one problem at a time in-process.  This package scales that to
-*batches* and request streams: an :class:`ExecutorService` (and its
-one-shot front-end :class:`BatchRunner`) executes many
+*batches* and request streams: an :class:`ExecutorService` executes many
 :class:`~repro.analysis.problems.Problem`\\ s on a pool of resident worker
 processes, with per-engine wall-clock timeouts that degrade gracefully to
 the next-cheapest admitted engine, and a persistent on-disk
@@ -28,7 +27,6 @@ from .runner import (
     BatchError,
     BatchOutcome,
     BatchReport,
-    BatchRunner,
     ExecutorService,
     contains_many,
     run_batch,
@@ -40,7 +38,6 @@ __all__ = [
     "BatchError",
     "BatchOutcome",
     "BatchReport",
-    "BatchRunner",
     "ExecutorService",
     "VerdictCache",
     "WorkerFailure",

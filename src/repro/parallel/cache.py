@@ -57,9 +57,8 @@ The cache is two tiers deep:
   (``<dir>/<xx>/<digest>.json``, shard = digest prefix mod shard count) so
   concurrent writers spread their directory traffic and per-shard file
   locks (``fcntl.flock`` on ``<shard>/.lock``) serialize writers on the
-  same shard without a global lock.  Legacy flat layouts (every
-  ``<digest>.json`` directly in the cache directory, PR 3 through PR 9)
-  are migrated into shards once, on first disk access.
+  same shard without a global lock.  Files directly in the cache
+  directory are not entries: lookups and GC never touch them.
 
 Probes and stores bump both plain attributes (``mem_hits``,
 ``disk_hits``, ``misses``, ``stores``, ``evicted``, ``corrupt``) and the
@@ -144,8 +143,7 @@ __all__ = [
 #: reduction frames, kernel memos) keyed on the same ``schema_session``
 #: id, so entries are pinned to verdicts produced under the shared-artifact
 #: regime.  The sharded disk layout did NOT bump the version: the key
-#: scheme is unchanged, only where an entry's file lives moved (and the
-#: one-shot migration relocates legacy entries).
+#: scheme is unchanged, only where an entry's file lives moved.
 CACHE_SCHEMA_VERSION = 6
 
 #: Disk shards: entry files live under ``<dir>/<shard>/``, shard =
@@ -329,7 +327,6 @@ class VerdictCache:
         self.max_bytes = max_bytes
         self._memory: "OrderedDict[str, dict]" = OrderedDict()
         self._lock = threading.Lock()
-        self._migrated = False
         self.mem_hits = 0
         self.disk_hits = 0
         self.misses = 0
@@ -356,8 +353,8 @@ class VerdictCache:
 
     @contextmanager
     def _shard_lock(self, shard_dir: Path):
-        """Exclusive advisory lock on one shard (held for writes, GC, and
-        migration; reads need no lock — entry files appear atomically)."""
+        """Exclusive advisory lock on one shard (held for writes and GC;
+        reads need no lock — entry files appear atomically)."""
         shard_dir.mkdir(parents=True, exist_ok=True)
         if fcntl is None:  # pragma: no cover - non-POSIX platforms
             yield
@@ -368,44 +365,6 @@ class VerdictCache:
                 yield
             finally:
                 fcntl.flock(handle, fcntl.LOCK_UN)
-
-    def _ensure_migrated(self) -> None:
-        """One-shot migration of a legacy flat layout (PR 3 … PR 9 wrote
-        ``<digest>.json`` directly into the cache directory) into shards.
-
-        Runs at most once per cache instance, before the first disk
-        access; racing processes are safe because each file moves by
-        ``os.replace`` under its target shard's lock and a loser's missing
-        source is simply skipped.
-        """
-        if self._migrated:
-            return
-        with self._lock:
-            if self._migrated:
-                return
-            self._migrated = True
-        try:
-            legacy = [path for path in self.directory.glob("*.json")
-                      if path.is_file()]
-        except OSError:
-            return
-        moved = 0
-        for path in legacy:
-            key = path.stem
-            try:
-                int(key[:8], 16)
-            except ValueError:
-                continue  # not a digest-named entry; leave it alone
-            shard_dir = self._shard_dir(key)
-            try:
-                with self._shard_lock(shard_dir):
-                    if path.exists():
-                        os.replace(path, shard_dir / path.name)
-                        moved += 1
-            except OSError:
-                continue  # read-only directory, racing unlink, ...
-        if moved:
-            obs.count("cache.migrated", moved)
 
     # ------------------------------------------------------------- probes
 
@@ -470,7 +429,6 @@ class VerdictCache:
             self.misses += 1
             obs.count("cache.miss")
             return None
-        self._ensure_migrated()
         try:
             with open(self._path(key), encoding="utf-8") as handle:
                 text = handle.read()
@@ -522,7 +480,6 @@ class VerdictCache:
         # to refuse stale *inconclusive* entries (see module docstring).
         data["engines"] = engine_set_fingerprint()
         self._memory_put(key, data)
-        self._ensure_migrated()
         shard_dir = self._shard_dir(key)
         try:
             with self._shard_lock(shard_dir):
@@ -546,18 +503,17 @@ class VerdictCache:
     # ----------------------------------------------------------------- gc
 
     def _disk_entries(self) -> list[tuple[float, int, Path]]:
-        """Every entry file on disk as ``(mtime, size, path)`` — shards
-        plus any not-yet-migrated flat stragglers."""
+        """Every entry file in the shard directories as ``(mtime, size,
+        path)``."""
         entries: list[tuple[float, int, Path]] = []
-        roots = [self.directory]
         try:
-            roots.extend(child for child in self.directory.iterdir()
-                         if child.is_dir())
+            shards = [child for child in self.directory.iterdir()
+                      if child.is_dir()]
         except OSError:
             return entries
-        for root in roots:
+        for shard in shards:
             try:
-                for path in root.glob("*.json"):
+                for path in shard.glob("*.json"):
                     try:
                         stat = path.stat()
                     except OSError:
@@ -582,7 +538,6 @@ class VerdictCache:
             max_entries = self.max_entries
         if max_bytes is None:
             max_bytes = self.max_bytes
-        self._ensure_migrated()
         entries = self._disk_entries()
         total_bytes = sum(size for _, size, _ in entries)
         removed = 0

@@ -38,11 +38,8 @@ dispatches, so workers forked afterwards — the first pool, replacements,
 recycled successors — inherit the finished
 :class:`~repro.edtd.compiled.CompiledSchema` artifact instead of
 rebuilding it.  A schema first seen after the pool forked is compiled once
-more inside each worker that meets it, then stays warm there.  The service
-never resets the session registry; callers that want per-run hygiene (the
-one-shot :class:`BatchRunner`, pool shutdown) call
-:func:`~repro.analysis.session.reset_sessions` themselves, and
-:meth:`ExecutorService.close` does so on the way out.
+more inside each worker that meets it, then stays warm there.  Only
+:meth:`ExecutorService.close` resets the session registry.
 
 Every problem yields a :class:`BatchOutcome` with the result (or a
 structured error), the engine that produced it, cache/timing/attempt
@@ -50,16 +47,14 @@ metadata, and any :class:`~repro.parallel.worker.WorkerFailure` records.
 Failures are data: a raising or hanging engine cannot poison the pool or
 perturb any other problem's verdict.
 
-Workers are forked (configurable via ``mp_context``), so engines
+Workers are forked (spawned where ``fork`` is unavailable), so engines
 registered before the pool starts — including test doubles — are visible
 to workers without pickling.  Problems and results cross the pipe.
 
-:class:`BatchRunner` is the historical one-shot front-end: same
-constructor, same :meth:`BatchRunner.run` contract, now a thin wrapper
-that runs the batch on a private :class:`ExecutorService` and resets the
-session registry afterwards.  :func:`contains_many` and
-:func:`satisfiable_many` are the list-in, list-out conveniences mirroring
-:func:`repro.analysis.contains` and :func:`repro.analysis.satisfiable`.
+:func:`run_batch` decides one batch on a private service and closes it;
+:func:`contains_many` and :func:`satisfiable_many` are the list-in,
+list-out conveniences mirroring :func:`repro.analysis.contains` and
+:func:`repro.analysis.satisfiable`.
 """
 
 from __future__ import annotations
@@ -92,7 +87,6 @@ __all__ = [
     "BatchError",
     "BatchOutcome",
     "BatchReport",
-    "BatchRunner",
     "ExecutorService",
     "contains_many",
     "run_batch",
@@ -105,9 +99,10 @@ Result = SatResult | ContainmentResult
 #: detecting a worker that died without a final message).
 _POLL_S = 0.2
 
-#: Sentinel distinguishing "use the service default timeout" from an
-#: explicit ``timeout=None`` (no timeout) on :meth:`ExecutorService.submit`.
-_DEFAULT_TIMEOUT = object()
+#: Fork where available: workers inherit the registered engines and the
+#: warm sessions without pickling.
+_CTX = multiprocessing.get_context(
+    "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn")
 
 
 class BatchError(RuntimeError):
@@ -197,10 +192,10 @@ class BatchReport:
 class _Worker:
     """Parent-side handle on one resident worker process and its pipe."""
 
-    def __init__(self, ctx) -> None:
-        self.conn, child_conn = ctx.Pipe()
-        self.process = ctx.Process(target=serve, args=(child_conn,),
-                                   daemon=True)
+    def __init__(self) -> None:
+        self.conn, child_conn = _CTX.Pipe()
+        self.process = _CTX.Process(target=serve, args=(child_conn,),
+                                    daemon=True)
         self.process.start()
         child_conn.close()
         #: Set by the worker's ``retiring`` message: its current task is
@@ -231,9 +226,8 @@ class ExecutorService:
       to disable caching.
     * ``collect_stats`` — ship each worker's own obs run record back with
       its result (attached to ``BatchOutcome.stats``).
-    * ``mp_context`` — a multiprocessing start-method name or context;
-      defaults to ``fork`` where available (registered engines are then
-      inherited by workers without pickling).
+
+    Used as a context manager, the service is closed on exit.
     """
 
     def __init__(
@@ -242,7 +236,6 @@ class ExecutorService:
         timeout: float | None = None,
         cache: VerdictCache | str | Path | None = None,
         collect_stats: bool = False,
-        mp_context: str | multiprocessing.context.BaseContext | None = None,
     ):
         self.workers = workers if workers is not None \
             else min(8, os.cpu_count() or 1)
@@ -254,14 +247,6 @@ class ExecutorService:
         else:
             self.cache = VerdictCache(cache)
         self.collect_stats = collect_stats
-        if isinstance(mp_context, multiprocessing.context.BaseContext):
-            self._ctx = mp_context
-        else:
-            method = mp_context
-            if method is None:
-                method = "fork" if "fork" in \
-                    multiprocessing.get_all_start_methods() else "spawn"
-            self._ctx = multiprocessing.get_context(method)
         self._pool: ThreadPoolExecutor | None = None
         self._pool_lock = threading.Lock()
         self._state_lock = threading.Lock()
@@ -298,7 +283,7 @@ class ExecutorService:
             return self._spawn()
 
     def _spawn(self) -> _Worker:
-        worker = _Worker(self._ctx)
+        worker = _Worker()
         self._live.add(worker)
         self._count_worker("spawned")
         return worker
@@ -344,9 +329,7 @@ class ExecutorService:
     def release(self, wait: bool = True) -> None:
         """Shut down the coordinator threads and reap every worker but
         keep the service usable — both pools are recreated lazily on the
-        next submission.  The one-shot :class:`BatchRunner` calls this
-        after every run so neither idle threads nor worker processes
-        outlive a batch."""
+        next submission."""
         with self._pool_lock:
             pool = self._pool
             self._pool = None
@@ -403,10 +386,10 @@ class ExecutorService:
     # ------------------------------------------------------- submissions
 
     def submit(self, problem: Problem, *,
-               timeout=_DEFAULT_TIMEOUT) -> "Future[BatchOutcome]":
+               timeout: float | None = None) -> "Future[BatchOutcome]":
         """Enqueue one problem; returns a future resolving to its
         :class:`BatchOutcome`.  Safe to call from concurrent threads; the
-        per-engine ``timeout`` (default: the service's) applies to this
+        per-engine ``timeout`` (``None``: the service's) applies to this
         submission only.  The future never raises from a solver failure —
         errors are data on the outcome — only from a closed service."""
         pool = self._ensure_pool()
@@ -414,7 +397,7 @@ class ExecutorService:
             index = self._next_index
             self._next_index += 1
             self.submitted += 1
-        per_attempt = self.timeout if timeout is _DEFAULT_TIMEOUT else timeout
+        per_attempt = self.timeout if timeout is None else timeout
         submitted_at = time.perf_counter()
         future = pool.submit(self._run_one, index, problem, submitted_at,
                              per_attempt)
@@ -424,11 +407,6 @@ class ExecutorService:
     def _on_done(self, future) -> None:
         with self._state_lock:
             self.completed += 1
-
-    def map(self, problems: Iterable[Problem]) -> list[BatchOutcome]:
-        """Submit every problem and wait; outcomes in input order."""
-        futures = [self.submit(problem) for problem in problems]
-        return [future.result() for future in futures]
 
     # ---------------------------------------------------------------- run
 
@@ -445,8 +423,8 @@ class ExecutorService:
         seen before), and the ``schema.compile.*`` counters land in the
         caller's (batch-level) recording where the compile-once property
         is assertable.  Unlike :meth:`submit`, ``run`` also emits the
-        batch-level obs metrics; it does NOT reset sessions — the one-shot
-        :class:`BatchRunner` wrapper does that.
+        batch-level obs metrics; it does NOT reset sessions —
+        :meth:`close` does that.
         """
         items = list(problems)
         outcomes: list[BatchOutcome | None] = [None] * len(items)
@@ -774,59 +752,6 @@ class ExecutorService:
         obs.note("batch", report.summary())
 
 
-class BatchRunner:
-    """One-shot batch front-end over a private :class:`ExecutorService`.
-
-    Historically this class owned the whole coordinator machinery; the
-    resident :class:`ExecutorService` now does, and ``BatchRunner`` keeps
-    the original contract for existing callers: same constructor, and
-    :meth:`run` decides a batch then resets the worker-local session
-    registry so a later batch — or a sequential caller after a terminated
-    worker round — can never observe this batch's sessions.
-    """
-
-    def __init__(
-        self,
-        workers: int | None = None,
-        timeout: float | None = None,
-        cache: VerdictCache | str | Path | None = None,
-        collect_stats: bool = False,
-        mp_context: str | multiprocessing.context.BaseContext | None = None,
-    ):
-        self.service = ExecutorService(
-            workers=workers, timeout=timeout, cache=cache,
-            collect_stats=collect_stats, mp_context=mp_context)
-
-    @property
-    def workers(self) -> int:
-        return self.service.workers
-
-    @property
-    def timeout(self) -> float | None:
-        return self.service.timeout
-
-    @property
-    def cache(self) -> VerdictCache | None:
-        return self.service.cache
-
-    @property
-    def collect_stats(self) -> bool:
-        return self.service.collect_stats
-
-    def run(self, problems: Iterable[Problem]) -> BatchReport:
-        """Decide every problem; outcomes come back in input order."""
-        try:
-            return self.service.run(problems)
-        finally:
-            # Pool-shutdown hygiene: one-shot batches leave neither warm
-            # sessions, idle coordinator threads nor worker processes
-            # behind.
-            self.service.release()
-            from ..analysis.session import reset_sessions
-
-            reset_sessions()
-
-
 # ------------------------------------------------------------- conveniences
 
 
@@ -838,18 +763,17 @@ def run_batch(
     cache: VerdictCache | str | Path | None = None,
     collect_stats: bool = False,
     stats: bool = False,
-    mp_context=None,
 ) -> BatchReport:
-    """Run ``problems`` through a fresh :class:`BatchRunner`.  With
-    ``stats=True`` the whole batch runs inside an obs recording whose run
-    record lands on ``BatchReport.stats``."""
-    runner = BatchRunner(workers=workers, timeout=timeout, cache=cache,
-                         collect_stats=collect_stats,
-                         mp_context=mp_context)
-    if not stats:
-        return runner.run(problems)
-    with obs.record("batch") as recording:
-        report = runner.run(problems)
+    """Decide ``problems`` on a private :class:`ExecutorService` and
+    close it, so neither worker processes nor warm sessions outlive the
+    batch.  With ``stats=True`` the batch runs inside an obs recording
+    whose run record lands on ``BatchReport.stats``."""
+    with ExecutorService(workers=workers, timeout=timeout, cache=cache,
+                         collect_stats=collect_stats) as service:
+        if not stats:
+            return service.run(problems)
+        with obs.record("batch") as recording:
+            report = service.run(problems)
     report.stats = recording.to_run_record().to_dict()
     return report
 
@@ -877,7 +801,6 @@ def contains_many(
     workers: int | None = None,
     timeout: float | None = None,
     cache: VerdictCache | str | Path | None = None,
-    mp_context=None,
 ) -> list[ContainmentResult]:
     """Decide ``α ⊑ β`` for every pair on a worker pool; results come back
     in input order and agree with sequential :func:`repro.analysis.contains`
@@ -890,7 +813,7 @@ def contains_many(
         for alpha, beta in pairs
     ]
     report = run_batch(problems, workers=workers, timeout=timeout,
-                       cache=cache, mp_context=mp_context)
+                       cache=cache)
     results = _checked_results(report, "containment")
     assert all(isinstance(result, ContainmentResult) for result in results)
     return results  # type: ignore[return-value]
@@ -905,7 +828,6 @@ def satisfiable_many(
     workers: int | None = None,
     timeout: float | None = None,
     cache: VerdictCache | str | Path | None = None,
-    mp_context=None,
 ) -> list[SatResult]:
     """Batch node satisfiability; see :func:`contains_many`."""
     engine = _engine_preference(method)
@@ -915,7 +837,7 @@ def satisfiable_many(
         for phi in exprs
     ]
     report = run_batch(problems, workers=workers, timeout=timeout,
-                       cache=cache, mp_context=mp_context)
+                       cache=cache)
     results = _checked_results(report, "satisfiability")
     assert all(isinstance(result, SatResult) for result in results)
     return results  # type: ignore[return-value]

@@ -31,10 +31,13 @@ requests that ask for an unknown or un-admitted engine, a per-request
 ``timeout`` beyond the server's cap, a ``max_nodes`` beyond the server's
 cap, or a ``passes`` level other than the one the server runs (pipeline
 level is part of the cache key; a mismatched level would silently fork
-the cache namespace).  Load shedding: at most ``max_inflight`` solve
-requests may be admitted concurrently; beyond that the server answers
-429 (HTTP) / an ``error`` record (JSONL) immediately instead of queueing
-without bound.
+the cache namespace).  Framing errors are answered too: an HTTP request
+or header line over 64 KiB, or a ``Content-Length`` that is not a
+non-negative integer, gets a 400 and the connection closes; a JSONL line
+over 64 KiB gets an ``error`` record in its place.  Load shedding: at
+most ``max_inflight`` solve requests may be admitted concurrently; beyond
+that the server answers 429 (HTTP) / an ``error`` record (JSONL)
+immediately instead of queueing without bound.
 
 Shutdown is a graceful *drain*: on SIGTERM/SIGINT (or
 :meth:`ServerHandle.stop`) the listeners close first, in-flight requests
@@ -100,6 +103,11 @@ _REASONS = {
 _COUNTER_KEYS = ("requests", "http_requests", "jsonl_requests", "solved",
                  "unsolved", "cache_hits", "bad_requests", "shed", "errors")
 
+#: Longest line either transport reads (asyncio's default stream limit):
+#: a longer HTTP request or header line is a 400, a longer JSONL line an
+#: ``error`` record.
+_MAX_LINE = 64 * 1024
+
 
 @dataclass
 class ServerConfig:
@@ -143,6 +151,28 @@ class ServerConfig:
 
 class _RequestError(ValueError):
     """An admission-control or validation rejection (answered with 400)."""
+
+
+async def _read_jsonl_line(reader: asyncio.StreamReader) -> bytes | None:
+    """The next line (``b""`` at end of stream), or ``None`` for a line
+    over the stream limit.  An over-long line is discarded through its
+    newline, so the following lines still frame correctly."""
+    try:
+        return await reader.readuntil(b"\n")
+    except asyncio.IncompleteReadError as error:
+        return error.partial  # a last line without a newline, or b""
+    except asyncio.LimitOverrunError as error:
+        consumed = error.consumed
+    while True:
+        # The overrun bytes stay buffered: drop them and look again.
+        await reader.readexactly(consumed)
+        try:
+            await reader.readuntil(b"\n")
+            return None
+        except asyncio.IncompleteReadError:
+            return None
+        except asyncio.LimitOverrunError as error:
+            consumed = error.consumed
 
 
 class ReproServer:
@@ -197,7 +227,8 @@ class ReproServer:
         config = self.config
         if config.port is not None:
             server = await asyncio.start_server(
-                self._handle_http, config.host, config.port)
+                self._handle_http, config.host, config.port,
+                limit=_MAX_LINE)
             self._servers.append(server)
             self.http_port = server.sockets[0].getsockname()[1]
         if config.jsonl_path is not None:
@@ -205,12 +236,13 @@ class ReproServer:
             with contextlib.suppress(OSError):
                 os.unlink(path)
             server = await asyncio.start_unix_server(
-                self._handle_jsonl, path=path)
+                self._handle_jsonl, path=path, limit=_MAX_LINE)
             self._servers.append(server)
             self.jsonl_path = path
         elif config.jsonl_port is not None:
             server = await asyncio.start_server(
-                self._handle_jsonl, config.host, config.jsonl_port)
+                self._handle_jsonl, config.host, config.jsonl_port,
+                limit=_MAX_LINE)
             self._servers.append(server)
             self.jsonl_port = server.sockets[0].getsockname()[1]
 
@@ -342,11 +374,8 @@ class ReproServer:
                 record_id = default_id if default_id is not None \
                     else self._next_id()
             try:
-                if timeout is None:
-                    future = self.service.submit(problem)
-                else:
-                    future = self.service.submit(problem, timeout=timeout)
-                outcome = await asyncio.wrap_future(future)
+                outcome = await asyncio.wrap_future(
+                    self.service.submit(problem, timeout=timeout))
             except Exception as error:  # noqa: BLE001 - answered, not raised
                 self._count("errors")
                 return 500, {"id": record_id,
@@ -387,42 +416,65 @@ class ReproServer:
                            writer: asyncio.StreamWriter) -> None:
         try:
             while True:
-                request_line = await reader.readline()
-                if not request_line:
-                    break
-                parts = request_line.decode("latin-1").strip().split()
-                if len(parts) != 3:
-                    await self._http_respond(
-                        writer, 400, {"error": "malformed request line"})
-                    break
-                method, target, version = parts
-                headers: dict[str, str] = {}
-                while True:
-                    line = await reader.readline()
-                    if line in (b"\r\n", b"\n", b""):
-                        break
-                    name, _, value = line.decode("latin-1").partition(":")
-                    headers[name.strip().lower()] = value.strip()
                 try:
-                    length = int(headers.get("content-length", "0") or "0")
-                except ValueError:
-                    length = 0
-                body = await reader.readexactly(length) if length else b""
-                keep_alive = (version == "HTTP/1.1"
-                              and headers.get("connection", "").lower()
-                              != "close")
+                    request = await self._read_http_request(reader)
+                except _RequestError as error:
+                    # Framing is lost: answer, then drop the connection.
+                    self._count("bad_requests")
+                    await self._http_respond(writer, 400,
+                                             {"error": str(error)})
+                    break
+                if request is None:
+                    break
+                method, target, keep_alive, body = request
                 status, payload = await self._dispatch_http(
                     method, target, body)
                 await self._http_respond(writer, status, payload, keep_alive)
                 if not keep_alive:
                     break
-        except (ConnectionError, asyncio.IncompleteReadError,
-                asyncio.LimitOverrunError):
+        except (ConnectionError, asyncio.IncompleteReadError):
             pass
         finally:
             writer.close()
             with contextlib.suppress(Exception):
                 await writer.wait_closed()
+
+    @staticmethod
+    async def _read_http_request(reader: asyncio.StreamReader):
+        """``(method, target, keep_alive, body)`` of the next request, or
+        ``None`` at end of stream.  Raises :class:`_RequestError` on a
+        malformed or over-long request line or header line, and on a
+        ``Content-Length`` that is not a non-negative integer."""
+
+        async def _line() -> bytes:
+            try:
+                return await reader.readline()
+            except ValueError:  # longer than the stream limit
+                raise _RequestError(
+                    f"request line or header line over {_MAX_LINE} "
+                    "bytes") from None
+
+        request_line = await _line()
+        if not request_line:
+            return None
+        parts = request_line.decode("latin-1").strip().split()
+        if len(parts) != 3:
+            raise _RequestError("malformed request line")
+        method, target, version = parts
+        headers: dict[str, str] = {}
+        while True:
+            line = await _line()
+            if line in (b"\r\n", b"\n", b""):
+                break
+            name, _, value = line.decode("latin-1").partition(":")
+            headers[name.strip().lower()] = value.strip()
+        length = headers.get("content-length", "0") or "0"
+        if not (length.isascii() and length.isdigit()):
+            raise _RequestError(f"bad Content-Length {length!r}")
+        body = await reader.readexactly(int(length))
+        keep_alive = (version == "HTTP/1.1"
+                      and headers.get("connection", "").lower() != "close")
+        return method, target, keep_alive, body
 
     async def _dispatch_http(self, method: str, target: str,
                              body: bytes) -> tuple[int, dict]:
@@ -486,11 +538,22 @@ class ReproServer:
                     .encode("utf-8"))
                 await writer.drain()
 
+        def _reject(message: str) -> None:
+            self._count("bad_requests")
+            ready: asyncio.Future = loop.create_future()
+            ready.set_result((400, {"id": number, "error": message}))
+            queue.put_nowait(ready)
+
         writeback = asyncio.ensure_future(_writeback())
         number = 0
         try:
             while True:
-                line = await reader.readline()
+                line = await _read_jsonl_line(reader)
+                if line is None:
+                    number += 1
+                    self._count("jsonl_requests")
+                    _reject(f"line over {_MAX_LINE} bytes")
+                    continue
                 if not line:
                     break
                 text = line.decode("utf-8", "replace").strip()
@@ -501,12 +564,7 @@ class ReproServer:
                 try:
                     data = json.loads(text)
                 except ValueError as error:
-                    self._count("bad_requests")
-                    ready: asyncio.Future = loop.create_future()
-                    ready.set_result(
-                        (400, {"id": number,
-                               "error": f"invalid JSON: {error}"}))
-                    queue.put_nowait(ready)
+                    _reject(f"invalid JSON: {error}")
                     continue
                 queue.put_nowait(asyncio.ensure_future(
                     self._solve(data, default_id=number)))

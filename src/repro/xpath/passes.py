@@ -19,9 +19,9 @@ consolidates them into one pipeline:
   increase.  Rounds repeat until no pass fires (bounded by ``max_rounds``).
 * Three registered levels (:data:`PIPELINES`): ``none`` (intern only),
   ``basic`` (pipeline level 0 — exactly ``intern.normalize``), and ``full``
-  (normalize plus the whole rule catalog).  Engines declare the level they
-  want via ``Engine.pipeline``; the session default is set by the CLI's
-  ``--passes`` flag (:func:`set_default_pipeline`).
+  (normalize plus the whole rule catalog).  Every engine sees the
+  session default level, set by the CLI's ``--passes`` flag
+  (:func:`set_default_pipeline`).
 
 Rule catalog of the ``full`` level (each pass individually verified against
 the reference evaluator in ``tests/test_passes.py``):
@@ -609,7 +609,7 @@ _FULL_PASSES = (
 
 #: The registered pipeline levels.  ``none`` interns without rewriting,
 #: ``basic`` is the historical ``normalize`` behaviour, ``full`` runs the
-#: whole catalog.  Engines name one of these via ``Engine.pipeline``.
+#: whole catalog.
 PIPELINES: dict[str, Pipeline] = {}
 
 #: The level names in increasing strength, as the CLI exposes them.

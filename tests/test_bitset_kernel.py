@@ -5,7 +5,8 @@ identical to the dict-of-frozensets reference kernel
 (``_ReferenceChecker``): same verdicts, same witness trees, same round
 and entry counts, on every problem.  The sweeps here check that over the
 curated corpus from :mod:`tests.test_emptiness` plus randomized
-CoreXPath(*, ≈) formulas.  (``evals`` is deliberately *not* compared:
+CoreXPath(*, ≈) formulas, and one batch end to end through the worker
+pool.  (``evals`` is deliberately *not* compared:
 the bitset kernel's token-keyed evaluation memo collapses contexts that
 share a wrapped-up excursion vector, so it legitimately evaluates fewer
 combinations.)
@@ -22,6 +23,7 @@ Unit tests cover the three supporting pieces:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 
@@ -31,19 +33,23 @@ from repro.analysis import (
     Problem,
     ProblemKind,
     SchemaSession,
+    automata_engine,
     reset_sessions,
     schema_id_of,
     session_for,
 )
 from repro.analysis.reductions import containment_to_node_unsat
-from repro.automata import KernelCache, build_twoata, decide_emptiness
-from repro.automata.core import FALSE, TRUE, FormulaTable
-from repro.automata.emptiness import (
-    ANTICHAIN_ENV,
-    EmptinessLimit,
-    _BitsetChecker,
+from repro.automata import (
+    KernelCache,
+    build_twoata,
+    decide_emptiness,
+    emptiness,
 )
+from repro.automata.core import FALSE, TRUE, FormulaTable
+from repro.automata.emptiness import EmptinessLimit, _BitsetChecker
+from repro.parallel import run_batch
 from repro.semantics import TreeContext, compile_plan
+from repro.server.protocol import outcome_record, parse_problem_record
 from repro.xpath import parse_node, parse_path
 
 from .helpers import random_node
@@ -120,6 +126,52 @@ class TestKernelDifferential:
                 assert _satisfies(bitset.witness, phi)
             checked += 1
         assert checked >= 20, f"only {checked} instances within guards"
+
+    def test_batch_verdicts_identical_across_kernels(self, monkeypatch):
+        """End to end through the worker pool: the same batch under each
+        kernel answers record for record alike.  The reference run patches
+        the automata engine before the pool forks, so the workers inherit
+        it; no verdict cache, which would serve one kernel's answers to
+        the other."""
+        rows = [
+            {"id": "k1", "kind": "contains", "alpha": "up/up",
+             "beta": "up*"},
+            {"id": "k2", "kind": "contains", "alpha": "down[p]",
+             "beta": "down"},
+            {"id": "k3", "kind": "satisfiable",
+             "expr": "p and not <down*[q]>"},
+            {"id": "k4", "kind": "satisfiable",
+             "expr": "<up/up> and not <up>"},
+        ]
+        parsed = [parse_problem_record(row) for row in rows]
+
+        def answers() -> tuple[dict, set]:
+            report = run_batch([problem for _, _, problem in parsed],
+                               workers=2, cache=None, collect_stats=True)
+            records = {}
+            counters: set = set()
+            for (record_id, kind, _), outcome in zip(parsed,
+                                                     report.outcomes):
+                record = outcome_record(record_id, kind, outcome)
+                del record["cache"], record["elapsed_s"]
+                records[record_id] = record
+                for worker in outcome.worker_records:
+                    counters.update(worker.get("counters") or {})
+            return records, counters
+
+        bitset, bitset_counters = answers()
+        monkeypatch.setattr(
+            automata_engine, "decide_emptiness",
+            functools.partial(decide_emptiness, kernel="reference"))
+        reference, reference_counters = answers()
+        assert bitset["k1"]["contained"] is True
+        assert bitset["k4"]["verdict"] == "unsatisfiable"
+        assert bitset == reference
+        # Only the bitset kernel counts antichain pruning: each run really
+        # used its kernel inside the workers.
+        pruned = "twoata.emptiness.antichain.pruned"
+        assert pruned in bitset_counters
+        assert pruned not in reference_counters
 
 
 # ------------------------------------------------- mask/test compilation
@@ -226,11 +278,10 @@ class TestAntichainOrder:
         assert not checker.antichain and checker.pruned == 0
 
     def test_constructor_and_env_kill_switch(self, monkeypatch):
+        # The constructor is the only switch; the environment is not read.
         assert _saturated("p", antichain=False).pruned == 0
-        monkeypatch.setenv(ANTICHAIN_ENV, "off")
-        result = decide_emptiness(build_twoata(parse_node("p")),
-                                  kernel="bitset")
-        assert result.pruned == 0 and not result.empty
+        monkeypatch.setenv("REPRO_EMPTINESS_ANTICHAIN", "off")
+        assert _saturated("p").pruned > 0
 
     def test_dominance_is_a_partial_order(self):
         """Reflexive, transitive, antisymmetric on the discovered pool."""
@@ -277,7 +328,9 @@ class TestAntichainOrder:
         ata = build_twoata(parse_node(source))
         phi = parse_node(source)
         with_pruning = decide_emptiness(ata, kernel="bitset")
-        monkeypatch.setenv(ANTICHAIN_ENV, "off")
+        monkeypatch.setattr(emptiness, "_BitsetChecker",
+                            functools.partial(_BitsetChecker,
+                                              antichain=False))
         without = decide_emptiness(ata, kernel="bitset")
         assert without.pruned == 0
         assert with_pruning.empty == without.empty

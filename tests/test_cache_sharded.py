@@ -4,9 +4,9 @@ The flat-file cache of PR 3 never had to survive *concurrent* writers —
 the batch runner serialized stores through one coordinator process.  The
 sharded two-tier cache explicitly supports multi-process use (a daemon
 and CLI runs sharing one directory), so these tests hammer one shard
-from several processes, verify the legacy-layout migration, the memory
-LRU tier (including serving a key whose disk file was deleted), corrupt
-entry tolerance, and the bounded-disk GC (API and ``repro cache gc``).
+from several processes, verify the memory LRU tier (including serving a
+key whose disk file was deleted), corrupt entry tolerance, and the
+bounded-disk GC (API and ``repro cache gc``).
 """
 
 from __future__ import annotations
@@ -103,38 +103,6 @@ class TestMultiProcess:
         assert reader.get(_problem(0)) is not None
 
 
-class TestLegacyMigration:
-    def test_flat_layout_migrates_into_shards(self, tmp_path):
-        writer = VerdictCache(tmp_path)
-        problems = [_problem(index) for index in range(3)]
-        for problem in problems:
-            writer.put(problem, _result())
-        # Simulate the PR 3..9 layout: entries directly in the root.
-        for problem in problems:
-            key = problem_fingerprint(problem)
-            flat = tmp_path / f"{key}.json"
-            os.replace(writer._path(key), flat)
-        for child in list(tmp_path.iterdir()):
-            if child.is_dir():
-                for straggler in child.iterdir():
-                    straggler.unlink()
-                child.rmdir()
-        fresh = VerdictCache(tmp_path)
-        for problem in problems:
-            assert fresh.get(problem) is not None
-            key = problem_fingerprint(problem)
-            assert os.path.exists(fresh._path(key))
-            assert not (tmp_path / f"{key}.json").exists()
-        assert fresh.disk_hits == len(problems)
-
-    def test_non_digest_files_left_alone(self, tmp_path):
-        stranger = tmp_path / "not-a-digest.json"
-        stranger.write_text("{}", encoding="utf-8")
-        cache = VerdictCache(tmp_path)
-        assert cache.get(_problem(0)) is None  # triggers migration
-        assert stranger.exists()
-
-
 class TestMemoryTier:
     def test_mem_hit_survives_deleted_disk_file(self, tmp_path):
         """The warm hit path never touches the filesystem: a key in the
@@ -226,6 +194,18 @@ class TestDiskBounds:
         self._fill(cache, 4)
         assert len(cache._disk_entries()) <= 2
         assert cache.gc_removed >= 2
+
+    def test_gc_leaves_files_in_the_cache_root_alone(self, tmp_path):
+        """Entries live in shard directories only: a foreign file in the
+        cache root is neither scanned nor collected, however old."""
+        notes = tmp_path / "notes.json"
+        notes.write_text("{}", encoding="utf-8")
+        os.utime(notes, (0, 0))  # older than every entry
+        cache = VerdictCache(tmp_path)
+        self._fill(cache, 2)
+        summary = cache.gc(max_entries=1)
+        assert notes.exists()
+        assert (summary["scanned"], summary["removed"]) == (2, 1)
 
     def test_unbounded_gc_is_a_pure_scan(self, tmp_path):
         cache = VerdictCache(tmp_path)

@@ -469,17 +469,6 @@ class TestStatsFlags:
                  if event["ph"] == "X" and event["dur"] >= 0]
         assert len(timed) >= 3
 
-    def test_trace_json_alias_keeps_working(self, capsys, tmp_path):
-        import json
-
-        out = tmp_path / "trace.json"
-        code = main(["satisfiable", "self::a", "--trace-json", str(out)])
-        assert code == 0
-        payload = json.loads(out.read_text())
-        assert "traceEvents" in payload
-        assert payload["otherData"]["runs"][0]["meta"]["verdict"] \
-            == "satisfiable"
-
     def test_trace_dash_to_stderr(self, capsys):
         code = main(["satisfiable", "p", "--trace", "-"])
         assert code == 0

@@ -40,7 +40,7 @@ from repro.analysis.session import (
 )
 from repro.edtd import DTD
 from repro.parallel.cache import _edtd_fingerprint, encode_result
-from repro.parallel.runner import BatchRunner
+from repro.parallel.runner import run_batch
 from repro.trees import to_xml
 from repro.xpath import parse_node, parse_path, to_source
 from repro.xpath.ast import Axis
@@ -226,9 +226,8 @@ class TestForkHygiene:
         the parent; the forked workers only ever *reuse* the inherited
         session (zero worker-side compiles)."""
         problems = [_sat(source) for source in SAME_SCHEMA]
-        runner = BatchRunner(workers=2, collect_stats=True)
         with obs.record("test") as recording:
-            report = runner.run(problems)
+            report = run_batch(problems, workers=2, collect_stats=True)
         assert all(outcome.result is not None for outcome in report.outcomes)
         assert recording.counters["schema.compile.count"] == 1
         worker_counters = [record.get("counters") or {}
@@ -245,7 +244,7 @@ class TestForkHygiene:
         assert entry["session_reuse"] == pytest.approx(1.0)
 
     def test_pool_shutdown_resets_sessions(self):
-        BatchRunner(workers=1).run([_sat("p")])
+        run_batch([_sat("p")], workers=1)
         assert not session_module._SESSIONS
 
 

@@ -150,19 +150,11 @@ class TestRecordingIntegration:
         assert clone.histograms == record.histograms
         assert clone.trace_id == record.trace_id
 
-    def test_schema_v1_records_still_load(self):
-        v1 = {"schema_version": 1, "name": "old", "duration_s": 0.5,
-              "meta": {}, "counters": {"n": 1}, "gauges": {},
-              "spans": {"name": "old", "duration_s": 0.5}}
-        record = RunRecord.from_dict(v1)
-        assert record.histograms == {}
-        assert record.trace_id == ""
-        assert record.counters == {"n": 1}
-
     def test_unknown_schema_version_rejected(self):
-        with pytest.raises(ValueError, match="schema version"):
-            RunRecord.from_dict({"schema_version": 99, "name": "x",
-                                 "duration_s": 0.0})
+        for version in (1, 99):
+            with pytest.raises(ValueError, match="schema version"):
+                RunRecord.from_dict({"schema_version": version, "name": "x",
+                                     "duration_s": 0.0})
 
     def test_summary_renders_histogram_lines(self):
         with obs.record("run") as recording:

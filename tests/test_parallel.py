@@ -30,7 +30,6 @@ from repro.analysis.problems import (
 from repro.analysis.registry import Engine
 from repro.parallel import (
     BatchError,
-    BatchRunner,
     ExecutorService,
     VerdictCache,
     contains_many,
@@ -222,9 +221,11 @@ class TestVerdictCache:
         problem = self._problem()
         result = contains(problem.alpha, problem.beta,
                           max_nodes=problem.max_nodes)
-        VerdictCache(tmp_path).put(problem, result)
-        key = problem_fingerprint(problem)
-        (tmp_path / f"{key}.json").write_text("{not json", encoding="utf-8")
+        cache = VerdictCache(tmp_path)
+        cache.put(problem, result)
+        path = cache._path(problem_fingerprint(problem))
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write("{not json")
         fresh = VerdictCache(tmp_path)
         assert fresh.get(problem) is None
         assert fresh.info()["misses"] == 1
@@ -358,9 +359,9 @@ class TestFailureIsolation:
 
     def test_runner_reports_failures_without_raising(self, register_engine):
         register_engine(Raiser())
-        report = BatchRunner(workers=1).run(
+        report = run_batch(
             [Problem(ProblemKind.SATISFIABILITY, phi=parse_node("p"),
-                     engine="test-raiser")])
+                     engine="test-raiser")], workers=1)
         [outcome] = report.outcomes
         assert report.failed == [outcome]
         assert outcome.error is not None
@@ -494,7 +495,7 @@ class TestWorkerPool:
     def test_batch_runner_reaps_its_pool(self):
         problems = [self._problem(depth) for depth in range(1, 4)]
         want = _canon([self._sequential(problem) for problem in problems])
-        report = BatchRunner(workers=2, cache=None).run(problems)
+        report = run_batch(problems, workers=2, cache=None)
         assert _canon(report.results()) == want
         assert multiprocessing.active_children() == []
 
@@ -509,13 +510,13 @@ class TestBatchAPI:
                           method="quantum")
 
     def test_empty_batch(self):
-        report = BatchRunner(workers=2).run([])
+        report = run_batch([], workers=2)
         assert report.outcomes == []
         assert report.summary()["problems"] == 0
 
     def test_workers_must_be_positive(self):
         with pytest.raises(ValueError, match="workers"):
-            BatchRunner(workers=0)
+            ExecutorService(workers=0)
 
     def test_results_in_input_order(self):
         pairs = [(parse_path("down[p]"), parse_path("down")),

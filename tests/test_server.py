@@ -1,19 +1,20 @@
 """Tests for the resident ExecutorService and the ``repro serve`` daemon.
 
-The service half covers the lifecycle the one-shot BatchRunner never
-exercised: residency across submissions (warm schema sessions), per-submit
-timeout overrides, release/close semantics, and session-registry LRU
-eviction while the service is live.  The daemon half drives the HTTP and
-JSONL endpoints end to end over real sockets — validation and admission
-rejections, load shedding, answer ordering, ``/stats``, graceful drain —
-plus the ``repro batch --server`` CLI integration against a local batch
-run of the same stream.
+The service half covers the resident lifecycle: residency across
+submissions (warm schema sessions), per-submit timeout overrides,
+release/close semantics, and session-registry LRU eviction while the
+service is live.  The daemon half drives the HTTP and JSONL endpoints end
+to end over real sockets — validation and admission rejections, framing
+errors, load shedding, answer ordering, ``/stats``, graceful drain — plus
+the ``repro batch --server`` CLI integration against a local batch run of
+the same stream.
 """
 
 from __future__ import annotations
 
 import json
 import multiprocessing
+import socket
 import threading
 import time
 
@@ -23,7 +24,7 @@ from repro.analysis import contains, default_registry
 from repro.analysis.problems import Problem, ProblemKind
 from repro.analysis.registry import Engine
 from repro.analysis.session import registry_stats, reset_sessions
-from repro.parallel import BatchRunner, ExecutorService
+from repro.parallel import ExecutorService
 from repro.server import (
     HttpClient,
     ServerClient,
@@ -158,11 +159,12 @@ class TestExecutorService:
             service.submit(_sat("p"))
 
     def test_batchrunner_leaves_no_threads_or_sessions(self):
-        runner = BatchRunner(workers=2, cache=None)
-        report = runner.run([_contains(), _sat("p")])
+        with ExecutorService(workers=2, cache=None) as service:
+            report = service.run([_contains(), _sat("p")])
         assert all(outcome.result is not None for outcome in report.outcomes)
-        assert runner.service._pool is None  # released after the run
+        assert service._pool is None  # shut down on exit
         assert registry_stats()["resident"] == 0
+        assert multiprocessing.active_children() == []
 
     def test_session_lru_eviction_under_live_service(self, monkeypatch):
         """A long-lived service over many schema shapes stays bounded: the
@@ -301,6 +303,64 @@ class TestHttpEndpoints:
             assert status == 200
 
 
+def _raw_http(address: str, request: bytes) -> bytes:
+    """Send raw bytes to the daemon's HTTP port and read until it
+    closes the connection."""
+    host, port = address.rsplit(":", 1)
+    received = b""
+    with socket.create_connection((host, int(port)), timeout=30) as sock:
+        sock.sendall(request)
+        try:
+            while chunk := sock.recv(65536):
+                received += chunk
+        except ConnectionResetError:
+            pass  # the server closed with part of the request unread
+    return received
+
+
+def _unhandled(caplog) -> list[str]:
+    return [record.getMessage() for record in caplog.records
+            if "Unhandled exception" in record.getMessage()]
+
+
+class TestHttpFraming:
+    """Requests whose framing cannot be trusted get a 400 and a closed
+    connection — never an exception escaping the connection handler."""
+
+    @pytest.fixture
+    def server(self, tmp_path):
+        with start_in_thread(_config(tmp_path)) as handle:
+            yield handle
+
+    def _assert_rejected(self, server, caplog, request: bytes,
+                         needle: str) -> None:
+        response = _raw_http(server.http_address, request)
+        head, _, body = response.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 "), response[:200]
+        assert b"Connection: close" in head
+        assert needle in json.loads(body)["error"]
+        # The daemon is still healthy, and the bad connection logged no
+        # unhandled exception.
+        assert http_json(server.http_address, "/healthz")[0] == 200
+        assert _unhandled(caplog) == []
+
+    def test_negative_content_length(self, server, caplog):
+        for length in ("-1", "12x"):
+            self._assert_rejected(
+                server, caplog,
+                b"POST /v1/solve HTTP/1.1\r\nHost: x\r\n"
+                b"Content-Length: " + length.encode() + b"\r\n\r\n{}",
+                "Content-Length")
+
+    def test_over_long_header_line(self, server, caplog):
+        pad = b"a" * 70_000  # over asyncio's 64 KiB stream limit
+        for request in (b"GET /healthz HTTP/1.1\r\nX-Pad: " + pad
+                        + b"\r\n\r\n",
+                        b"GET /" + pad + b" HTTP/1.1\r\n\r\n"):
+            self._assert_rejected(server, caplog, request,
+                                  "header line over 65536 bytes")
+
+
 class TestShedding:
     def test_max_inflight_zero_sheds_everything(self, tmp_path):
         with start_in_thread(_config(tmp_path, max_inflight=0)) as handle:
@@ -348,6 +408,24 @@ class TestJsonlProtocol:
         assert records[1]["id"] == 2
         assert records[2]["id"] == 3
         assert records[2]["verdict"] == "satisfiable"
+
+    def test_oversized_line_answers_in_place(self, server, caplog):
+        """A line over the 64 KiB stream limit gets an ``error`` record in
+        its place; the answers before and after it still arrive."""
+        client = ServerClient(server.jsonl_address)
+        lines = [
+            json.dumps({"kind": "satisfiable", "expr": "p"}),
+            json.dumps({"kind": "satisfiable", "expr": "p",
+                        "pad": "x" * 70_000}),
+            json.dumps({"kind": "satisfiable", "expr": "q"}),
+        ]
+        records = client.solve_lines(lines)
+        assert [record["id"] for record in records] == [1, 2, 3]
+        assert records[0]["verdict"] == "satisfiable"
+        assert "over 65536 bytes" in records[1]["error"]
+        assert records[2]["verdict"] == "satisfiable"
+        assert client.solve_lines(lines[:1])[0]["verdict"] == "satisfiable"
+        assert _unhandled(caplog) == []
 
     def test_default_ids_number_payload_lines(self, server):
         client = ServerClient(server.jsonl_address)

@@ -11,7 +11,7 @@ import json
 from repro import obs
 from repro.analysis.problems import Problem, ProblemKind
 from repro.obs import RunRecord, traceout
-from repro.parallel import BatchRunner
+from repro.parallel import ExecutorService, run_batch
 from repro.xpath import parse_node
 
 
@@ -96,9 +96,9 @@ class TestBatchTrace:
         ]
 
     def test_merges_coordinator_and_worker_lanes(self):
-        runner = BatchRunner(workers=2, cache=None, collect_stats=True)
         with obs.record("batch") as recording:
-            report = runner.run(self._problems())
+            report = run_batch(self._problems(), workers=2, cache=None,
+                               collect_stats=True)
         coordinator = recording.to_run_record()
         payload = traceout.batch_trace(report, coordinator)
         assert traceout.validate_trace(payload) == []
@@ -118,15 +118,14 @@ class TestBatchTrace:
     def test_timed_out_workers_leave_no_orphan_lane(self):
         # A worker killed by timeout ships no record: its pid must simply
         # be absent while the coordinator lane still shows the attempt.
-        runner = BatchRunner(workers=1, timeout=0.005, cache=None,
-                             collect_stats=True)
         hard = Problem(
             ProblemKind.SATISFIABILITY,
             phi=parse_node("<down[<down[a and <down[b]>]>]> and "
                            "not <down[c]>"),
             max_nodes=64)
         with obs.record("batch") as recording:
-            report = runner.run([hard])
+            report = run_batch([hard], workers=1, timeout=0.005, cache=None,
+                               collect_stats=True)
         payload = traceout.batch_trace(report, recording.to_run_record())
         assert traceout.validate_trace(payload) == []
         outcome = report.outcomes[0]
@@ -147,11 +146,11 @@ class TestBatchTrace:
 
     def test_cache_hits_render_on_synthetic_lane(self, tmp_path):
         problems = self._problems(2)
-        runner = BatchRunner(workers=2, cache=tmp_path / "cache",
-                             collect_stats=True)
-        runner.run(problems)  # warm
-        with obs.record("batch") as recording:
-            report = runner.run(problems)  # all hits
+        with ExecutorService(workers=2, cache=tmp_path / "cache",
+                             collect_stats=True) as service:
+            service.run(problems)  # warm
+            with obs.record("batch") as recording:
+                report = service.run(problems)  # all hits
         assert all(outcome.cache_hit for outcome in report.outcomes)
         payload = traceout.batch_trace(report, recording.to_run_record())
         assert traceout.validate_trace(payload) == []
