@@ -13,6 +13,7 @@ from .nf import (
     nf_negate,
     nf_labels_used,
     nf_subexpressions,
+    nf_render,
 )
 from .normalform import (
     to_normal_form,
@@ -55,7 +56,7 @@ from .toexpr import automaton_to_path, nf_to_expr, letnf_to_expr, epa_to_path
 __all__ = [
     "Step", "NFExpr", "NFLabel", "NFTop", "NFNot", "NFAnd", "NFLoop",
     "PathAutomaton", "nf_size", "nf_negate", "nf_labels_used",
-    "nf_subexpressions",
+    "nf_subexpressions", "nf_render",
     "to_normal_form", "path_to_automaton", "eliminate_skips", "NormalFormError",
     "NFEvaluator", "possible_steps", "loops_fixpoint",
     "AlphabetPartition", "CompiledEval", "FormulaTable", "KernelCache",

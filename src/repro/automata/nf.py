@@ -30,6 +30,7 @@ __all__ = [
     "nf_negate",
     "nf_labels_used",
     "nf_subexpressions",
+    "nf_render",
 ]
 
 
@@ -220,3 +221,60 @@ def nf_subexpressions(expr: NFExpr) -> Iterator[NFExpr]:
                 yield from nf_subexpressions(test)
         case _:
             raise TypeError(f"unknown normal-form expression {expr!r}")
+
+
+def nf_render(expr: NFExpr, memo: dict | None = None) -> str:
+    """The structural rendering of a normal-form expression.
+
+    It reads like the dataclass ``repr`` (same constructor and field
+    names), except that every transition table is listed in canonical
+    order — by (source, symbol rendering, target) — where ``repr`` follows
+    frozenset iteration order and so ``PYTHONHASHSEED``.  The rendering is
+    a pure function of the expression: no ``id()``, hash, set order or
+    interner number enters it, and distinct expressions render
+    distinctly.
+
+    Pass one ``memo`` dict to a series of calls to render each distinct
+    subexpression, and each path-automaton base (the transition table
+    shared by all ``π_{q,q'}`` shifts), only once.
+    """
+    if memo is None:
+        memo = {}
+    text = memo.get(expr)
+    if text is not None:
+        return text
+    match expr:
+        case NFLabel(name=name):
+            text = f"NFLabel(name={name!r})"
+        case NFTop():
+            text = "NFTop()"
+        case NFNot(child=c):
+            text = f"NFNot(child={nf_render(c, memo)})"
+        case NFAnd(left=a, right=b):
+            text = f"NFAnd(left={nf_render(a, memo)}, right={nf_render(b, memo)})"
+        case NFLoop(automaton=auto):
+            text = f"NFLoop(automaton={_render_automaton(auto, memo)})"
+        case _:
+            raise TypeError(f"unknown normal-form expression {expr!r}")
+    memo[expr] = text
+    return text
+
+
+def _render_automaton(auto: PathAutomaton, memo: dict) -> str:
+    # Keyed on the base, so the shifts of one table render it once.
+    base = (auto.num_states, auto.transitions)
+    table = memo.get(base)
+    if table is None:
+        rows = sorted(
+            (source,
+             repr(symbol) if isinstance(symbol, Step)
+             else nf_render(symbol, memo),
+             target)
+            for source, symbol, target in auto.transitions
+        )
+        table = ", ".join(f"({source}, {symbol}, {target})"
+                          for source, symbol, target in rows)
+        table = f"frozenset({{{table}}})" if rows else "frozenset()"
+        memo[base] = table
+    return (f"PathAutomaton(num_states={auto.num_states}, transitions={table}, "
+            f"initial={auto.initial}, final={auto.final})")

@@ -43,6 +43,7 @@ from .nf import (
     PathAutomaton,
     Step,
     nf_negate,
+    nf_render,
     nf_subexpressions,
 )
 from .normalform import eliminate_skips, path_to_automaton
@@ -78,7 +79,13 @@ class TwoATA:
     def __init__(self, phi_prime: NFExpr,
                  partition: AlphabetPartition | None = None):
         self.initial_expr = phi_prime
-        self.state_exprs: list[NFExpr] = sorted(closure(phi_prime), key=repr)
+        # States are numbered in the order of their structural rendering, a
+        # pure function of the formula; one memo renders each distinct
+        # subterm and automaton base once for the whole closure.
+        memo: dict = {}
+        self.state_exprs: list[NFExpr] = sorted(
+            closure(phi_prime), key=lambda expr: nf_render(expr, memo)
+        )
         self._state_ids: dict[NFExpr, int] = {
             expr: index for index, expr in enumerate(self.state_exprs)
         }

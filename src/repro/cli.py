@@ -507,9 +507,9 @@ def _cmd_translate(args) -> int:
         print(to_source(eliminate_complements(path)))
         return 0
     if args.to == "normal-form":
-        from .automata import to_normal_form
+        from .automata import nf_render, to_normal_form
         node = parse_node(args.expr)
-        print(repr(to_normal_form(node)))
+        print(nf_render(to_normal_form(node)))
         return 0
     raise SystemExit(f"unknown translation target {args.to!r}")
 

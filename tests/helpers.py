@@ -1,9 +1,15 @@
-"""Shared test utilities: random expression generators and comparisons."""
+"""Shared test utilities: random expression generators, comparisons and a
+fresh-interpreter runner."""
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
+import repro
 from repro.xpath.ast import (
     And,
     Axis,
@@ -106,3 +112,17 @@ def relation_as_pairs(relation) -> frozenset[tuple[int, int]]:
         for source, targets in relation.items()
         for target in targets
     )
+
+
+def run_with_hash_seed(args: list[str], seed: int) -> str:
+    """Run ``python *args`` in a fresh interpreter with ``PYTHONHASHSEED``
+    set to ``seed`` and this checkout's ``repro`` importable; return its
+    stdout.  Output that follows set or hash order differs across seeds."""
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONHASHSEED=str(seed))
+    env["PYTHONPATH"] = os.pathsep.join(
+        part for part in (src, env.get("PYTHONPATH")) if part
+    )
+    done = subprocess.run([sys.executable, *args], env=env, check=True,
+                          capture_output=True, text=True, timeout=120)
+    return done.stdout

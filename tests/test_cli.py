@@ -6,6 +6,8 @@ import pytest
 
 from repro.cli import build_parser, load_schema, main
 
+from .helpers import run_with_hash_seed
+
 
 @pytest.fixture
 def schema_file(tmp_path):
@@ -137,6 +139,15 @@ class TestCommands:
         code = main(["translate", "eq(down, down)", "--to", "normal-form"])
         assert code == 0
         assert "NFLoop" in capsys.readouterr().out
+
+    def test_translate_normal_form_ignores_hash_seed(self):
+        # The transition table is a frozenset, whose iteration order
+        # follows PYTHONHASHSEED; the printed form must not.
+        args = ["-m", "repro", "translate", "<down[p]/right[q]>",
+                "--to", "normal-form"]
+        first, second = (run_with_hash_seed(args, seed) for seed in (0, 1))
+        assert "NFLoop" in first
+        assert first == second
 
     def test_show(self, capsys):
         code = main(["show", "down intersect down[p]"])

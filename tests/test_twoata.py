@@ -1,16 +1,33 @@
 """Tests for the 2ATA construction (§3.3): Table III and Lemma 12."""
 
+import json
 import random
 
 import pytest
 
-from repro.automata import TwoATA, accepts, build_twoata, closure, to_normal_form
-from repro.automata.nf import NFLoop, NFNot
+from repro.analysis.reductions import containment_to_node_unsat
+from repro.automata import (
+    TwoATA,
+    accepts,
+    build_twoata,
+    closure,
+    decide_emptiness,
+    nf_render,
+    to_normal_form,
+)
+from repro.automata.nf import (
+    NFAnd,
+    NFLabel,
+    NFLoop,
+    NFNot,
+    NFTop,
+    PathAutomaton,
+)
 from repro.semantics import evaluate_nodes
 from repro.trees import XMLTree, random_tree
-from repro.xpath import parse_node
+from repro.xpath import parse_node, parse_path
 
-from .helpers import random_node
+from .helpers import random_node, run_with_hash_seed
 
 STAR_EQ = frozenset({"star", "eq"})
 
@@ -112,3 +129,66 @@ class TestLemma12:
         memo_size = len(ata._delta_memo)
         accepts(ata, tree)
         assert len(ata._delta_memo) == memo_size
+
+
+def e1_family(n: int) -> str:
+    """EXPERIMENTS.md E1: ``eq(↓ⁿ, ↓*) ∧ ¬⟨↓ⁿ⁺¹[p]⟩``."""
+    chain = "/".join(["down"] * n)
+    longer = "/".join(["down"] * (n + 1))
+    return f"eq({chain}, down*) and not <{longer}[p]>"
+
+
+def rendered_states(ata: TwoATA) -> list[str]:
+    memo: dict = {}
+    return [nf_render(expr, memo) for expr in ata.state_exprs]
+
+
+class TestStateNumbering:
+    """States are numbered by structural rendering: a pure function of the
+    formula, computed without ``repr``."""
+
+    def test_construction_never_calls_repr(self, monkeypatch):
+        formulas = [
+            parse_node(e1_family(8)),
+            # The fresh-automata template "star-up-pair" through Prop. 4.
+            containment_to_node_unsat(
+                parse_path("(up[a]/up[b])*"), parse_path("up*")
+            ).formula,
+        ]
+        expected = [build_twoata(phi).state_exprs for phi in formulas]
+
+        def no_repr(self):
+            raise AssertionError(f"repr of {type(self).__name__} called")
+
+        for cls in (NFLabel, NFTop, NFNot, NFAnd, NFLoop, PathAutomaton):
+            monkeypatch.setattr(cls, "__repr__", no_repr)
+        built = [build_twoata(phi).state_exprs for phi in formulas]
+        assert len(built[0]) == 814
+        assert built == expected
+
+    def test_order_ignores_hash_seed(self):
+        code = (
+            "import json, sys\n"
+            "from repro.automata import build_twoata, nf_render\n"
+            "from repro.xpath import parse_node\n"
+            "memo = {}\n"
+            "ata = build_twoata(parse_node(sys.argv[1]))\n"
+            "print(json.dumps([nf_render(e, memo) for e in ata.state_exprs]))\n"
+        )
+        first, second = (
+            json.loads(run_with_hash_seed(["-c", code, e1_family(2)], seed))
+            for seed in (0, 1)
+        )
+        assert first == second
+        assert first == rendered_states(build_twoata(parse_node(e1_family(2))))
+        # Sorted by a rendering that tells every state apart.
+        assert first == sorted(set(first))
+
+    def test_order_ignores_interner_history(self):
+        phi = parse_node(e1_family(2))
+        before = rendered_states(build_twoata(phi))
+        # Unrelated builds and emptiness checks grow the process-global
+        # normal-form and automaton-base interners.
+        for source in ("c and <up[d]> and not <up>", "<right[c]> and d"):
+            decide_emptiness(build_twoata(parse_node(source)))
+        assert rendered_states(build_twoata(phi)) == before
