@@ -58,7 +58,7 @@ __all__ = [
 ]
 
 
-def relevant_alphabet(*exprs: Expr | EDTD, edtd: EDTD | None = None) -> list[str]:
+def relevant_alphabet(*exprs: Expr, edtd: EDTD | None = None) -> list[str]:
     """The labels worth trying in models of the given expressions: their own
     labels plus one shared fresh label (without an EDTD), or the schema's
     concrete labels (with).
@@ -66,19 +66,11 @@ def relevant_alphabet(*exprs: Expr | EDTD, edtd: EDTD | None = None) -> list[str
     Accepts any number of expressions — engines working on several inputs
     (containment's ``α`` and ``β``) compute one joint alphabet instead of
     unioning per-expression alphabets each carrying its own fresh label.
-    For backward compatibility the EDTD may also be passed as the last
-    positional argument.
     """
-    if exprs and isinstance(exprs[-1], EDTD):
-        if edtd is not None:
-            raise TypeError("EDTD given both positionally and by keyword")
-        edtd = exprs[-1]
-        exprs = exprs[:-1]
     if edtd is not None:
         return sorted(edtd.concrete_labels())
     used: set[str] = set()
     for expr in exprs:
-        assert not isinstance(expr, EDTD)
         used |= labels_used(expr)
     return sorted(used | {fresh_label(used)})
 

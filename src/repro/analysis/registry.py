@@ -118,20 +118,28 @@ class EngineRegistry:
                      progress=None) -> Result:
         """Dispatch ``problem`` to an engine and return its result.
 
-        With ``problem.engine`` set, that engine must admit and solve the
-        problem (declining raises :class:`EngineDeclined`; an engine
-        exception is re-raised) — except for equivalence, where the
+        One admission pass asks every candidate not in ``exclude`` whether
+        it ``admits`` the problem; the admitted ones form the ladder, tried
+        cheapest-first until one produces a result.  With ``problem.engine``
+        set the ladder has that one engine (its ``engine_decision`` entry
+        carries ``forced: True``), which must admit and solve the problem:
+        not admitting or declining raises :class:`EngineDeclined`, an
+        engine exception is re-raised — except for equivalence, where the
         preference is forwarded to the per-direction subproblems.
-        Otherwise admitted engines are tried cheapest-first until one
-        produces a result; an engine that *raises* mid-``solve`` is treated
-        like a runtime decline — the error is recorded on its
-        ``engine_decision`` entry and dispatch falls through to the next
-        admitted engine, re-raising only when no engine remains.  A
-        :class:`EngineDeclined` escaping ``solve`` (a nested dispatch whose
-        engine declined) is a *clean* decline, not an error: the entry is
-        marked ``declined`` and ``dispatch.declined.<name>`` counted, never
-        ``dispatch.error.<name>``.  When no engine is left to try, the
-        dispatch raises :class:`EngineDeclined` too.
+
+        An attempt ends without a result in three ways: ``solve`` returns
+        ``None`` or raises :class:`EngineDeclined` (a *clean* decline, e.g.
+        a nested dispatch whose engine declined: the entry is marked
+        ``declined`` and ``dispatch.declined.<name>`` counted), or it
+        raises anything else (an engine error: the entry records it under
+        ``error`` and ``dispatch.error.<name>`` is counted).  Either way an
+        unforced dispatch falls through to the next admitted engine; when
+        none is left it re-raises the last exception, or raises
+        :class:`EngineDeclined` if no engine raised.  Each dispatch notes
+        one ``engine_decision`` record on exit — every candidate with its
+        admission verdict and any ``declined``/``error`` mark, plus the
+        engine chosen (``None`` on failure) — except that an unknown or
+        already-tried forced engine raises before anything is recorded.
 
         ``exclude`` names engines this dispatch must not try (a worker
         resuming the ladder after a timed-out engine).  ``progress``, if
@@ -148,111 +156,74 @@ class EngineRegistry:
         """
         problem = problem.canonical()
         notify = progress or _no_progress
-        candidates = [engine for engine in self.candidates(problem)
-                      if engine.name not in exclude]
-        decision: list[dict] = []
-        chosen: Engine | None = None
-        forced = problem.engine
-        if forced is not None and problem.kind is not ProblemKind.EQUIVALENCE:
-            if forced in exclude:
-                raise EngineDeclined(f"engine {forced!r} was already tried")
-            engine = self.get(forced)
-            decision = [dict(engine.describe(), admits=engine.admits(problem),
-                             forced=True)]
-            if not decision[0]["admits"]:
-                obs.note("engine_decision", {"candidates": decision,
-                                             "chosen": None})
-                raise EngineDeclined(
-                    f"engine {forced!r} does not admit this "
-                    f"{problem.kind.value} problem"
-                )
-            chosen = engine
+        kind = problem.kind.value
+        forced = problem.engine \
+            if problem.kind is not ProblemKind.EQUIVALENCE else None
+        if forced is None:
+            candidates = [engine for engine in self.candidates(problem)
+                          if engine.name not in exclude]
+        elif forced in exclude:
+            raise EngineDeclined(f"engine {forced!r} was already tried")
         else:
-            for engine in candidates:
-                admitted = engine.admits(problem)
-                decision.append(dict(engine.describe(), admits=admitted))
-                if admitted and chosen is None:
-                    chosen = engine
-        last_error: Exception | None = None
-        dispatch_start = time.perf_counter()
-        with obs.span("dispatch", problem=problem.kind.value):
-            from .session import session_for
+            candidates = [self.get(forced)]
+        decision: list[dict] = []
+        ladder: list[tuple[Engine, dict]] = []
+        for engine in candidates:
+            entry = dict(engine.describe(), admits=engine.admits(problem))
+            if forced is not None:
+                entry["forced"] = True
+            decision.append(entry)
+            if entry["admits"]:
+                ladder.append((engine, entry))
+        chosen: str | None = None
+        try:
+            if forced is not None and not ladder:
+                raise EngineDeclined(
+                    f"engine {forced!r} does not admit this {kind} problem")
+            last_error: Exception | None = None
+            dispatch_start = time.perf_counter()
+            with obs.span("dispatch", problem=kind):
+                from .session import session_for
 
-            session = session_for(problem) if chosen is not None else None
-            while chosen is not None:
-                notify("trying", chosen.name, None)
-                try:
-                    result = chosen.solve(problem, session)
-                except EngineDeclined as declined:
-                    # A *clean* decline surfacing as an exception — e.g. a
-                    # nested dispatch (equivalence sub-containments) whose
-                    # forced engine declined.  This is not an engine bug:
-                    # record it exactly like a ``solve() -> None`` decline
-                    # so ``engine_decision`` keeps declines and errors
-                    # distinguishable, and never count ``dispatch.error.*``.
-                    for entry in decision:
-                        if entry["name"] == chosen.name:
-                            entry["declined"] = True
-                    obs.count(f"dispatch.declined.{chosen.name}")
-                    notify("declined", chosen.name, str(declined))
-                    if forced is not None:
-                        obs.note("engine_decision", {"candidates": decision,
-                                                     "chosen": None})
-                        raise
-                    last_error = declined
-                    result = None
-                except Exception as error:
-                    # An engine bug or an uncaught guard must not abort the
-                    # whole dispatch: record the failure on the decision
-                    # entry and fall through like a runtime decline.
-                    for entry in decision:
-                        if entry["name"] == chosen.name:
-                            entry["error"] = f"{type(error).__name__}: {error}"
-                    obs.count(f"dispatch.error.{chosen.name}")
-                    notify("failed", chosen.name, error)
-                    if forced is not None:
-                        obs.note("engine_decision", {"candidates": decision,
-                                                     "chosen": None})
-                        raise
-                    last_error = error
-                    result = None
-                else:
+                session = session_for(problem) if ladder else None
+                for engine, entry in ladder:
+                    notify("trying", engine.name, None)
+                    failure: Exception | None = None
+                    try:
+                        result = engine.solve(problem, session)
+                    except Exception as error:
+                        # An engine bug or an uncaught guard must not
+                        # abort the whole dispatch.
+                        result, failure = None, error
                     if result is not None:
-                        obs.note("engine_decision",
-                                 {"candidates": decision, "chosen": chosen.name})
+                        chosen = engine.name
                         obs.observe("dispatch.solve_s",
                                     time.perf_counter() - dispatch_start)
-                        notify("result", chosen.name, result)
+                        notify("result", engine.name, result)
                         return result
-                    # Runtime decline: mark it and fall through to the next
-                    # admitted candidate (or fail if the engine was forced).
-                    for entry in decision:
-                        if entry["name"] == chosen.name:
-                            entry["declined"] = True
-                    obs.count(f"dispatch.declined.{chosen.name}")
-                    notify("declined", chosen.name, "declined at runtime")
+                    if failure is None or isinstance(failure, EngineDeclined):
+                        entry["declined"] = True
+                        obs.count(f"dispatch.declined.{engine.name}")
+                        notify("declined", engine.name,
+                               "declined at runtime" if failure is None
+                               else str(failure))
+                    else:
+                        entry["error"] = f"{type(failure).__name__}: {failure}"
+                        obs.count(f"dispatch.error.{engine.name}")
+                        notify("failed", engine.name, failure)
                     if forced is not None:
-                        obs.note("engine_decision", {"candidates": decision,
-                                                     "chosen": None})
-                        raise EngineDeclined(
-                            f"engine {forced!r} declined this "
-                            f"{problem.kind.value} problem at runtime"
-                        )
-                chosen = next(
-                    (engine for engine in candidates
-                     if engine.admits(problem)
-                     and not any(entry["name"] == engine.name
-                                 and (entry.get("declined")
-                                      or "error" in entry)
-                                 for entry in decision)),
-                    None,
-                )
-        obs.note("engine_decision", {"candidates": decision, "chosen": None})
-        if last_error is not None:
-            raise last_error
-        raise EngineDeclined(
-            f"no registered engine admits this {problem.kind.value} problem"
-        )
+                        raise failure if failure is not None else \
+                            EngineDeclined(f"engine {forced!r} declined this "
+                                           f"{kind} problem at runtime")
+                    if failure is not None:
+                        last_error = failure
+            if last_error is not None:
+                raise last_error
+            raise EngineDeclined(
+                f"no registered engine admits this {kind} problem")
+        finally:
+            obs.note("engine_decision",
+                     {"candidates": decision, "chosen": chosen})
 
 
 def _no_progress(event: str, engine: str, detail) -> None:

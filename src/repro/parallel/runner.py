@@ -29,8 +29,8 @@ is killed, reaped and counted as ``replaced``; a worker that retired
 itself (:data:`~repro.parallel.worker.MAX_TASKS` problems, or
 :data:`~repro.parallel.worker.MAX_RSS_GROWTH` bytes of growth) is reaped
 and counted as ``recycled``.  Either way the next checkout that finds no
-idle worker forks a fresh one.  :meth:`ExecutorService.release` and
-:meth:`ExecutorService.close` terminate and reap every worker.
+idle worker forks a fresh one.  :meth:`ExecutorService.close` terminates
+and reaps every worker.
 
 Sessions: the coordinator warms the problem's
 :class:`~repro.analysis.session.SchemaSession` in the parent before it
@@ -247,8 +247,9 @@ class ExecutorService:
         else:
             self.cache = VerdictCache(cache)
         self.collect_stats = collect_stats
-        self._pool: ThreadPoolExecutor | None = None
-        self._pool_lock = threading.Lock()
+        # Starts its coordinator threads lazily, as submissions arrive.
+        self._pool: ThreadPoolExecutor | None = ThreadPoolExecutor(
+            max_workers=self.workers, thread_name_prefix="exec")
         self._state_lock = threading.Lock()
         self._closed = False
         self._next_index = 0
@@ -298,7 +299,7 @@ class ExecutorService:
         the exchange broke off on a coordinator error)."""
         healthy = status in ("result", "exhausted")
         with self._workers_lock:
-            # A worker no longer live was torn down by release/close.
+            # A worker no longer live was torn down by close.
             if worker in self._live:
                 if healthy and not worker.retiring:
                     self._idle.append(worker)
@@ -317,38 +318,16 @@ class ExecutorService:
 
     # --------------------------------------------------------- lifecycle
 
-    def _ensure_pool(self) -> ThreadPoolExecutor:
-        with self._pool_lock:
-            if self._closed:
-                raise RuntimeError("ExecutorService is closed")
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self.workers, thread_name_prefix="exec")
-            return self._pool
-
-    def release(self, wait: bool = True) -> None:
-        """Shut down the coordinator threads and reap every worker but
-        keep the service usable — both pools are recreated lazily on the
-        next submission."""
-        with self._pool_lock:
-            pool = self._pool
-            self._pool = None
-        if pool is not None:
-            pool.shutdown(wait=wait)
-        self._stop_workers()
-
     def close(self, wait: bool = True) -> None:
         """Shut the coordinator pool down, terminate and reap every worker
         (in-flight attempts included), and drop the (now orphaned) warm
         sessions.  Idempotent; the service is unusable afterwards."""
-        with self._pool_lock:
+        with self._state_lock:
             if self._closed:
                 return
             self._closed = True
-            pool = self._pool
-            self._pool = None
-        if pool is not None:
-            pool.shutdown(wait=wait)
+            pool, self._pool = self._pool, None
+        pool.shutdown(wait=wait)
         self._stop_workers()
         from ..analysis.session import reset_sessions
 
@@ -392,8 +371,10 @@ class ExecutorService:
         per-engine ``timeout`` (``None``: the service's) applies to this
         submission only.  The future never raises from a solver failure —
         errors are data on the outcome — only from a closed service."""
-        pool = self._ensure_pool()
         with self._state_lock:
+            if self._closed:
+                raise RuntimeError("ExecutorService is closed")
+            pool = self._pool
             index = self._next_index
             self._next_index += 1
             self.submitted += 1

@@ -332,13 +332,12 @@ class ReproServer:
                 raise _RequestError(
                     "timeout must be in "
                     f"(0, {config.max_timeout:g}] seconds")
+        # parse_problem_record rejects a max_nodes that is not an integer
+        # >= 1; admission control adds only the server's cap.
         max_nodes = data.get("max_nodes")
-        if max_nodes is not None:
-            if not isinstance(max_nodes, int) or isinstance(max_nodes, bool) \
-                    or not 1 <= max_nodes <= config.max_nodes_cap:
-                raise _RequestError(
-                    "max_nodes must be an integer in "
-                    f"[1, {config.max_nodes_cap}]")
+        if isinstance(max_nodes, int) and max_nodes > config.max_nodes_cap:
+            raise _RequestError(
+                f"max_nodes must be an integer in [1, {config.max_nodes_cap}]")
         engine = data.get("engine")
         if engine is not None and config.engines is not None \
                 and engine not in config.engines:

@@ -42,8 +42,10 @@ def parse_problem_record(
     ``record_id`` is the request's ``id`` field, ``None`` when absent —
     the caller substitutes its own default.  Raises :class:`ValueError`
     with a human-readable message on malformed input (not a JSON object,
-    unknown ``kind`` or ``engine``, missing expression fields, expression
-    syntax errors); callers scope the message (``line N: …``) themselves.
+    unknown ``kind`` or ``engine``, a ``max_nodes`` — the record's or the
+    caller's default — that is not an integer ≥ 1, missing expression
+    fields, expression syntax errors); callers scope the message
+    (``line N: …``) themselves.
     """
     from ..analysis.registry import default_registry
     from ..xpath import parse_node, parse_path
@@ -53,6 +55,10 @@ def parse_problem_record(
     kind_name = data.get("kind", "contains")
     record_id = data.get("id")
     max_nodes = data.get("max_nodes", default_max_nodes)
+    if not isinstance(max_nodes, int) or isinstance(max_nodes, bool) \
+            or max_nodes < 1:
+        raise ValueError("max_nodes must be an integer >= 1, "
+                         f"not {max_nodes!r}")
     engine = data.get("engine", default_engine)
     if engine is not None and engine not in default_registry().names():
         raise ValueError(f"unknown engine {engine!r}")

@@ -365,6 +365,26 @@ class TestBatchCommand:
         good = next(r for r in records.values() if "verdict" in r)
         assert good["verdict"] == "satisfiable"
 
+    def test_batch_rejects_max_nodes_the_daemon_rejects(self, capsys,
+                                                        tmp_path):
+        """A ``max_nodes`` that is not an integer >= 1 is a bad input line,
+        as it is a 400 on ``repro serve`` — never a bounded search."""
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("".join(
+            json.dumps({"kind": "contains", "alpha": "down except down[p]",
+                        "beta": "down", "max_nodes": value}) + "\n"
+            for value in ("3", 2.5, -2)))
+        code = main(["batch", str(corpus), "--no-cache", "--workers", "1"])
+        assert code == 2
+        captured = capsys.readouterr()
+        records = self._records(captured.out)
+        assert sorted(records) == [1, 2, 3]
+        for number, record in records.items():
+            assert record["error"].startswith(f"line {number}: ")
+            assert "max_nodes" in record["error"]
+            assert "engine_failures" not in record
+        assert "3 bad input lines" in captured.err
+
     def test_batch_engine_flag_has_single_problem_semantics(self, capsys,
                                                             tmp_path):
         """``batch --engine`` forces the same engine a single-problem

@@ -44,7 +44,7 @@ class TestNodeSatisfiable:
     def test_relevant_alphabet(self):
         assert relevant_alphabet(parse_node("p and q")) == ["p", "q", "z"]
         book = book_edtd()
-        assert relevant_alphabet(parse_node("p"), book) == \
+        assert relevant_alphabet(parse_node("p"), edtd=book) == \
             sorted(book.concrete_labels())
 
     def test_with_edtd(self):

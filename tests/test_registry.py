@@ -371,3 +371,125 @@ class TestPlanCacheCounters:
         assert after["misses"] >= before["misses"] + 1
         assert after["hits"] >= before["hits"] + 1
         assert after["plans"] >= before["plans"]
+
+
+class _Scripted(Engine):
+    """A stub engine: ``outcome`` is what ``solve`` does — ``"result"``,
+    ``"decline"`` (returns ``None``) or ``"raise"``; ``admits`` answers
+    ``admitted`` and counts its calls."""
+
+    def __init__(self, name, cost_hint, outcome="result", admitted=True):
+        self.name = name
+        self.cost_hint = cost_hint
+        self.outcome = outcome
+        self.admitted = admitted
+        self.admits_calls = 0
+
+    def admits(self, problem):
+        self.admits_calls += 1
+        return self.admitted
+
+    def solve(self, problem, session=None):
+        from repro.analysis.problems import SatResult
+
+        if self.outcome == "decline":
+            return None
+        if self.outcome == "raise":
+            raise RuntimeError(f"{self.name} bug")
+        return SatResult(Verdict.UNSATISFIABLE)
+
+
+def _registry(*engines):
+    registry = EngineRegistry()
+    for engine in engines:
+        registry.register(engine)
+    return registry
+
+
+def _sat_problem(engine=None):
+    return Problem(ProblemKind.SATISFIABILITY, phi=parse_node("p"),
+                   engine=engine)
+
+
+class TestDispatchContract:
+    """Pins what one ``plan_and_run`` call does: one admission pass, the
+    ``exclude`` and ``progress`` hooks, and one ``engine_decision`` per
+    dispatch."""
+
+    def test_admits_runs_once_per_dispatch(self):
+        engines = [_Scripted("a", 1, "decline"), _Scripted("b", 2, "decline"),
+                   _Scripted("c", 3), _Scripted("d", 4)]
+        result = _registry(*engines).plan_and_run(_sat_problem())
+        assert result.verdict is Verdict.UNSATISFIABLE
+        assert [engine.admits_calls for engine in engines] == [1, 1, 1, 1]
+
+    def test_excluded_engine_is_absent_from_the_decision(self):
+        from repro import obs
+
+        registry = _registry(_Scripted("a", 1), _Scripted("b", 2))
+        with obs.record("run") as recording:
+            registry.plan_and_run(_sat_problem(), exclude=frozenset({"a"}))
+        decision = recording.meta["engine_decision"]
+        assert [entry["name"] for entry in decision["candidates"]] == ["b"]
+        assert decision["chosen"] == "b"
+
+    def test_forced_engine_in_exclude_was_already_tried(self):
+        from repro import obs
+
+        registry = _registry(_Scripted("a", 1), _Scripted("b", 2))
+        with obs.record("run") as recording:
+            with pytest.raises(EngineDeclined, match="already tried"):
+                registry.plan_and_run(_sat_problem(engine="a"),
+                                      exclude=frozenset({"a"}))
+        assert "engine_decision" not in recording.meta
+
+    def test_progress_reports_every_attempt(self):
+        events: list[tuple[str, str]] = []
+        registry = _registry(_Scripted("a", 1, "decline"),
+                             _Scripted("b", 2, "raise"), _Scripted("c", 3))
+        registry.plan_and_run(
+            _sat_problem(),
+            progress=lambda event, name, detail: events.append((event, name)))
+        assert events == [("trying", "a"), ("declined", "a"),
+                          ("trying", "b"), ("failed", "b"),
+                          ("trying", "c"), ("result", "c")]
+
+    def test_equivalence_reports_only_the_top_level_attempt(self):
+        events: list[tuple[str, str]] = []
+        problem = Problem(ProblemKind.EQUIVALENCE, alpha=parse_path("down[p]"),
+                          beta=parse_path("down[p]"))
+        default_registry().plan_and_run(
+            problem,
+            progress=lambda event, name, detail: events.append((event, name)))
+        assert events == [("trying", "bidirectional"),
+                          ("result", "bidirectional")]
+
+    @pytest.mark.parametrize("engines, forced, raised, match", [
+        ([_Scripted("a", 1, admitted=False)], "a", EngineDeclined,
+         "does not admit"),
+        ([_Scripted("a", 1, "decline"), _Scripted("b", 2)], "a",
+         EngineDeclined, "declined this satisfiability problem at runtime"),
+        ([_Scripted("a", 1, "raise"), _Scripted("b", 2)], "a",
+         RuntimeError, "a bug"),
+        ([_Scripted("a", 1, "decline"), _Scripted("b", 2, "decline")], None,
+         EngineDeclined, "no registered engine admits"),
+        ([_Scripted("a", 1, admitted=False)], None, EngineDeclined,
+         "no registered engine admits"),
+    ], ids=["forced-not-admitted", "forced-declines", "forced-raises",
+            "all-decline", "none-admits"])
+    def test_every_failing_exit_records_no_choice(self, engines, forced,
+                                                  raised, match):
+        from repro import obs
+
+        registry = _registry(*engines)
+        with obs.record("run") as recording:
+            with pytest.raises(raised, match=match):
+                registry.plan_and_run(_sat_problem(engine=forced))
+        decision = recording.meta["engine_decision"]
+        assert decision["chosen"] is None
+        if forced:  # a one-entry ladder, flagged as forced
+            expected = [(forced, True)]
+        else:
+            expected = [(engine.name, None) for engine in engines]
+        assert [(entry["name"], entry.get("forced"))
+                for entry in decision["candidates"]] == expected

@@ -138,18 +138,6 @@ class TestExecutorService:
         finally:
             service.close()
 
-    def test_release_keeps_service_usable(self):
-        service = ExecutorService(workers=1, cache=None)
-        try:
-            assert service.submit(_sat("p")).result(timeout=60).result \
-                is not None
-            service.release()
-            assert service._pool is None
-            assert service.submit(_sat("p")).result(timeout=60).result \
-                is not None  # pool lazily recreated
-        finally:
-            service.close()
-
     def test_close_is_terminal_and_idempotent(self):
         service = ExecutorService(workers=1, cache=None)
         service.close()
