@@ -13,15 +13,17 @@ yields a witness tree — which is what the bounded searches in
 Slots into the cost ladder between the Figure 2 downward engine
 (``expspace``, cost 10, schema-aware but downward-only) and the bounded
 fallback (cost 100): it admits the full CoreXPath(*, ≈) fragment but no
-EDTD.  Like ``expspace`` it declines at runtime — ``solve`` returns
-``None`` and the registry falls through to ``bounded`` — when the summary
-saturation outgrows its guards (:class:`~repro.automata.emptiness
-.EmptinessLimit`).
+EDTD, plus ``∩`` directly under an existential test: ``⟨(α ∩ β)[φ]⟩`` is
+``α[φ] ≈ β`` (§2.2), so through Prop. 4 an ``∩`` at the top of either
+side of a containment is admitted too.  Like ``expspace`` it declines at
+runtime — ``solve`` returns ``None`` and the registry falls through to
+``bounded`` — when the summary saturation outgrows its guards
+(:class:`~repro.automata.emptiness.EmptinessLimit`).
 
 Every satisfiable verdict is self-validating: the decoded witness tree is
-re-checked against the input formula with a compiled plan before the
-result is returned, so a checker bug can surface as a loud error but never
-as a quietly wrong SAT verdict.
+re-checked against the input formula, as it was before the ``∩ → ≈``
+rewrite, with a compiled plan before the result is returned, so a checker
+bug can surface as a loud error but never as a quietly wrong SAT verdict.
 """
 
 from __future__ import annotations
@@ -30,8 +32,9 @@ from .. import obs
 from ..automata import build_twoata
 from ..automata.emptiness import EmptinessLimit, EmptinessResult, decide_emptiness
 from ..semantics import TreeContext, compile_plan
-from ..xpath.ast import NodeExpr
+from ..xpath.ast import NodeExpr, SomePath
 from ..xpath.fragments import CORE_STAR_EQ
+from ..xpath.rewrite import intersect_tests_via_eq
 from .problems import ContainmentResult, Problem, ProblemKind, SatResult, Verdict
 from .registry import Engine, default_registry
 
@@ -39,7 +42,8 @@ __all__ = ["AutomataEngine"]
 
 
 class AutomataEngine(Engine):
-    """2ATA emptiness (Theorem 10) for CoreXPath(*, ≈), schemaless."""
+    """2ATA emptiness (Theorem 10) for CoreXPath(*, ≈), schemaless, plus
+    ``∩`` directly under an existential test (rewritten to ``≈``)."""
 
     name = "automata"
     conclusive = True
@@ -60,10 +64,12 @@ class AutomataEngine(Engine):
         if problem.edtd is not None:
             return False
         if problem.kind is ProblemKind.SATISFIABILITY:
-            return CORE_STAR_EQ.admits(problem.phi)
+            return CORE_STAR_EQ.admits(intersect_tests_via_eq(problem.phi))
         if problem.kind is ProblemKind.CONTAINMENT:
-            return (CORE_STAR_EQ.admits(problem.alpha)
-                    and CORE_STAR_EQ.admits(problem.beta))
+            # Prop. 4 puts each side directly under a test, ⟨ᾱ[1]⟩ and
+            # ¬⟨β̄[1]⟩, so an ∩ at the top of either side becomes ≈ there.
+            return all(CORE_STAR_EQ.admits(intersect_tests_via_eq(SomePath(path)))
+                       for path in (problem.alpha, problem.beta))
         return False
 
     def solve(self, problem: Problem,
@@ -107,11 +113,15 @@ class AutomataEngine(Engine):
     def _check(self, phi: NodeExpr, session=None,
                partition=None) -> tuple[bool, object, object] | None:
         """Emptiness of ``A_φ``: ``(empty, witness, witness_node)``, or
-        ``None`` when the saturation hits its guards.  ``partition`` is the
+        ``None`` when the saturation hits its guards.  The automaton is
+        built for φ with every ``⟨α ∩ β⟩`` test rewritten to ``α ≈ β``
+        (:func:`~repro.xpath.rewrite.intersect_tests_via_eq`); a witness is
+        verified against φ itself.  ``partition`` is the
         compiled schema's alphabet-partition seed; :func:`build_twoata`
         adopts it only when it matches the formula's own mentioned labels
         exactly, so verdicts and counters are identical either way."""
-        automaton = build_twoata(phi, partition=partition)
+        automaton = build_twoata(intersect_tests_via_eq(phi),
+                                 partition=partition)
         if automaton.num_states > self.max_states:
             obs.count(f"dispatch.{self.name}_too_large")
             return None

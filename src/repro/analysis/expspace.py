@@ -384,21 +384,16 @@ class ExpspaceEngine(Engine):
     cost_hint = 10
 
     def admits(self, problem) -> bool:
+        # Tested on the inputs, not on the Prop. 4/5 reductions ``solve``
+        # builds: their label decoration and ``[¬s]`` relativization add
+        # no axis and no operator, so the reduced formula is in
+        # CoreXPath↓(∩) exactly when the inputs are.
         from ..xpath.fragments import DOWNWARD_CAP
         from .problems import ProblemKind
-        from .reductions import containment_to_node_unsat, sat_to_edtd_sat
 
-        if problem.kind is ProblemKind.SATISFIABILITY:
-            if not DOWNWARD_CAP.admits(problem.phi):
-                return False
-            if problem.edtd is None:
-                return DOWNWARD_CAP.admits(sat_to_edtd_sat(problem.phi).formula)
-            return True
-        if problem.kind is ProblemKind.CONTAINMENT:
-            reduction = containment_to_node_unsat(problem.alpha, problem.beta,
-                                                  problem.edtd)
-            return DOWNWARD_CAP.admits(reduction.formula)
-        return False
+        if problem.kind is ProblemKind.EQUIVALENCE:
+            return False
+        return all(DOWNWARD_CAP.admits(expr) for expr in problem.expressions())
 
     def solve(self, problem, session=None):
         from .problems import ContainmentResult, ProblemKind

@@ -98,16 +98,31 @@ class Problem:
         """
         from ..xpath import passes
 
+        return self._map_expressions(passes.canonical)
+
+    def marked_canonical(self) -> "Problem":
+        """The same problem with every expression recorded as already
+        canonical (:func:`repro.xpath.passes.mark_canonical`), for a
+        problem :meth:`canonical` produced in another process: a later
+        :meth:`canonical` here is then a memo hit instead of a pipeline
+        run."""
+        from ..xpath import passes
+
+        return self._map_expressions(passes.mark_canonical)
+
+    def _map_expressions(self, transform) -> "Problem":
+        """``transform(expr, alphabet=...)`` applied to every expression,
+        with the schema's concrete labels as the alphabet."""
         alphabet = (frozenset(self.edtd.concrete_labels())
                     if self.edtd is not None else None)
 
-        def canon(expr):
+        def apply(expr):
             if expr is None:
                 return None
-            return passes.canonical(expr, alphabet=alphabet)
+            return transform(expr, alphabet=alphabet)
 
-        return replace(self, phi=canon(self.phi), alpha=canon(self.alpha),
-                       beta=canon(self.beta))
+        return replace(self, phi=apply(self.phi), alpha=apply(self.alpha),
+                       beta=apply(self.beta))
 
 
 class Verdict(enum.Enum):

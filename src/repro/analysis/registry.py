@@ -34,6 +34,7 @@ import time
 from dataclasses import replace
 
 from .. import obs
+from ..xpath.ast import Complement, Intersect, SomePath, Union
 from .problems import ContainmentResult, Problem, ProblemKind, SatResult, Verdict
 
 __all__ = [
@@ -234,10 +235,8 @@ class BidirectionalEngine(Engine):
     """Decides equivalence as two containment subproblems.
 
     The per-direction results are preserved verbatim on
-    ``ContainmentResult.per_direction``; the aggregate ``explored_up_to``
-    is the tightest bound over the *inconclusive* directions only (a
-    conclusively-decided direction imposes no bound), and
-    ``trees_checked`` is the total work.
+    ``ContainmentResult.per_direction``; the aggregate figures are those of
+    :func:`_all_hold`.
     """
 
     name = "bidirectional"
@@ -272,19 +271,8 @@ class BidirectionalEngine(Engine):
         assert isinstance(backward, ContainmentResult)
         if backward.verdict is Verdict.SATISFIABLE:
             return _with_directions(backward, (forward, backward))
-        verdict = Verdict.UNSATISFIABLE
-        if not (forward.conclusive and backward.conclusive):
-            verdict = Verdict.NO_WITNESS_WITHIN_BOUND
-        bounds = [direction.explored_up_to
-                  for direction in (forward, backward)
-                  if not direction.conclusive]
-        return ContainmentResult(
-            verdict,
-            explored_up_to=min((b for b in bounds if b is not None),
-                               default=None),
-            trees_checked=forward.trees_checked + backward.trees_checked,
-            per_direction=(forward, backward),
-        )
+        return _all_hold((forward, backward),
+                         per_direction=(forward, backward))
 
 
 def _with_directions(
@@ -292,6 +280,134 @@ def _with_directions(
     directions: tuple[ContainmentResult | None, ContainmentResult | None],
 ) -> ContainmentResult:
     return replace(result, per_direction=directions)
+
+
+def _all_hold(parts: tuple[Result, ...], **extra) -> ContainmentResult:
+    """The containment that holds because no sub-result found a witness.
+
+    It is proven iff every part is conclusive; ``explored_up_to`` is the
+    tightest bound over the *inconclusive* parts only (a conclusively
+    decided part imposes no bound), and ``trees_checked`` is the total
+    work.  ``extra`` fields are passed to :class:`ContainmentResult`.
+    """
+    bounds = [part.explored_up_to for part in parts
+              if not part.conclusive and part.explored_up_to is not None]
+    return ContainmentResult(
+        Verdict.UNSATISFIABLE if all(part.conclusive for part in parts)
+        else Verdict.NO_WITNESS_WITHIN_BOUND,
+        explored_up_to=min(bounds, default=None),
+        trees_checked=sum(part.trees_checked for part in parts),
+        **extra,
+    )
+
+
+class SplitEngine(Engine):
+    """Decides a containment with a top-level ``except`` on either side
+    through two exact set identities:
+
+    * ``α ⊑ β except γ``  iff  ``α ⊑ β`` and ``⟨α intersect γ⟩`` is
+      unsatisfiable;
+    * ``α except γ ⊑ β``  iff  ``α ⊑ β union γ``.
+
+    Each sub-problem goes through :func:`plan_and_run`, so ``⟨α ∩ γ⟩``
+    reaches ``expspace`` when it is downward and ``automata`` (as
+    ``α ≈ γ``) otherwise.  The engine admits a problem only when a
+    conclusive engine admits every sub-problem: a shape nothing here can
+    decide still costs one bounded search, not one per sub-problem.  A
+    counterexample is re-checked against the original containment with a
+    compiled plan before it is returned.
+    """
+
+    name = "split"
+    conclusive = False  # conclusive iff every sub-problem's answer is.
+    cost_hint = 50
+
+    def admits(self, problem: Problem) -> bool:
+        parts = _split(problem)
+        if parts is None:
+            return False
+        registry = default_registry()
+        return all(any(engine.conclusive and engine.admits(part)
+                       for engine in registry.candidates(part))
+                   for part in parts)
+
+    def solve(self, problem: Problem, session=None) -> ContainmentResult:
+        # Like the equivalence directions, every sub-problem resolves its
+        # own session inside the nested dispatch.
+        parts = _split(problem)
+        assert parts is not None
+        results: list[Result] = []
+        for part in parts:
+            with obs.span("subproblem", kind=part.kind.value):
+                result = plan_and_run(part)
+            results.append(result)
+            if result.verdict is Verdict.SATISFIABLE:
+                tree, pair = _counterexample(problem, part, result)
+                combined = ContainmentResult(
+                    Verdict.SATISFIABLE, tree, pair, explored_up_to=tree.size,
+                    trees_checked=sum(r.trees_checked for r in results))
+                break
+        else:
+            combined = _all_hold(tuple(results))
+        obs.note("engine", self.name)
+        obs.count(f"dispatch.{self.name}")
+        return combined
+
+
+def _split(problem: Problem) -> tuple[Problem, ...] | None:
+    """The canonical sub-problems :class:`SplitEngine` decides ``problem``
+    by, or ``None`` when neither side of a containment is an ``except``.
+    An ``except`` on the right is split first."""
+    if problem.kind is not ProblemKind.CONTAINMENT:
+        return None
+    alpha, beta = problem.alpha, problem.beta
+    scope = {"edtd": problem.edtd, "max_nodes": problem.max_nodes}
+    if isinstance(beta, Complement):
+        parts = (
+            Problem(ProblemKind.CONTAINMENT, alpha=alpha, beta=beta.left,
+                    **scope),
+            Problem(ProblemKind.SATISFIABILITY,
+                    phi=SomePath(Intersect(alpha, beta.right)), **scope),
+        )
+    elif isinstance(alpha, Complement):
+        parts = (Problem(ProblemKind.CONTAINMENT, alpha=alpha.left,
+                         beta=Union(beta, alpha.right), **scope),)
+    else:
+        return None
+    return tuple(part.canonical() for part in parts)
+
+
+def _counterexample(problem: Problem, part: Problem,
+                    result: Result) -> tuple:
+    """``(tree, (n, m))`` refuting ``problem`` from a witness of one of its
+    sub-problems, plan-verified: ``(n, m)`` is in ``α`` and not in ``β``.
+
+    A containment part's counterexample carries over as it is.  A witness
+    node ``n`` of ``⟨α ∩ γ⟩`` yields ``(n, m)`` for the least ``m`` in
+    ``α(n) ∩ γ(n)``.
+    """
+    from ..semantics import TreeContext, compile_plan
+
+    alpha, beta = problem.alpha, problem.beta
+    if isinstance(result, ContainmentResult):
+        tree, pair = result.counterexample, result.counterexample_pair
+        in_alpha, in_beta = compile_plan(alpha, beta).run(TreeContext(tree))
+    else:
+        tree, node = result.witness, result.witness_node
+        gamma = beta.right  # type: ignore[union-attr]
+        in_alpha, in_beta, in_gamma = compile_plan(alpha, beta, gamma).run(
+            TreeContext(tree))
+        meet = in_alpha.get(node, frozenset()) & in_gamma.get(node, frozenset())
+        if not meet:
+            raise RuntimeError(
+                f"the witness of {part.phi} has no α ∩ γ target at its node")
+        pair = (node, min(meet))
+    source, target = pair
+    if target not in in_alpha.get(source, frozenset()) \
+            or target in in_beta.get(source, frozenset()):
+        raise RuntimeError(
+            f"split counterexample {pair} does not refute the containment")
+    return tree, pair
 
 
 _DEFAULT: EngineRegistry | None = None
@@ -303,6 +419,7 @@ def default_registry() -> EngineRegistry:
     if _DEFAULT is None:
         registry = EngineRegistry()
         registry.register(BidirectionalEngine())
+        registry.register(SplitEngine())
         _DEFAULT = registry
         # Builtin engine modules self-register on import; imported lazily
         # here to break the cycle analysis.engines -> ... -> registry.

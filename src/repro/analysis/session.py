@@ -60,25 +60,32 @@ __all__ = [
 MAX_SESSIONS = 32
 
 
-@lru_cache(maxsize=1024)
 def _schema_identity(exprs: tuple, edtd) -> tuple[str, tuple[str, ...]]:
     """``(schema_id, relevant alphabet)`` for ``exprs`` over ``edtd``.
 
-    lru-cached on the (hash-consed) expression tuple and the EDTD's
-    identity (:class:`~repro.edtd.EDTD` hashes by id), so the fingerprint
-    JSON + SHA-256 work runs once per distinct problem shape instead of
-    once per ``session_for``/verdict-cache/batch-gauge call.
+    The alphabet is recomputed per call (a walk over the labels); the
+    fingerprint JSON + SHA-256 work is memoized on ``(alphabet, edtd)``,
+    so it runs once per compiled schema, and the memo holds one entry per
+    schema rather than one per distinct problem.
     """
-    from ..parallel.cache import _edtd_fingerprint
     from .engines import relevant_alphabet
 
     alphabet = tuple(relevant_alphabet(*exprs, edtd=edtd))
+    return _schema_digest(alphabet, edtd), alphabet
+
+
+@lru_cache(maxsize=1024)
+def _schema_digest(alphabet: tuple[str, ...], edtd) -> str:
+    """The schema id of ``alphabet`` over ``edtd`` (:class:`~repro.edtd
+    .EDTD` hashes by identity)."""
+    from ..parallel.cache import _edtd_fingerprint
+
     payload = {
         "schema": _edtd_fingerprint(edtd),
         "alphabet": list(alphabet),
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest(), alphabet
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 def schema_id_of(*exprs: Expr, edtd=None) -> str:
@@ -193,7 +200,7 @@ def reset_sessions() -> None:
     with _LOCK:
         _SESSIONS.clear()
         _BUILDING.clear()
-    _schema_identity.cache_clear()
+    _schema_digest.cache_clear()
 
 
 def discard_incomplete_sessions() -> None:

@@ -416,9 +416,12 @@ class VerdictCache:
             return None
         return result
 
-    def get(self, problem: Problem) -> Result | None:
-        """The cached result of ``problem``, or ``None`` on a miss."""
-        key = problem_fingerprint(problem)
+    def get(self, problem: Problem, key: str | None = None) -> Result | None:
+        """The cached result of ``problem``, or ``None`` on a miss.
+        ``key`` is its :func:`problem_fingerprint`, when the caller has it
+        already."""
+        if key is None:
+            key = problem_fingerprint(problem)
         data = self._memory_get(key)
         if data is not None:
             result = self._served(data, key)
@@ -464,14 +467,17 @@ class VerdictCache:
 
     # ------------------------------------------------------------- stores
 
-    def put(self, problem: Problem, result: Result) -> bool:
-        """Store ``result`` under ``problem``'s key; returns False when the
-        result cannot be serialized (exotic witness labels) or the disk
-        tier is unwritable (the memory tier still serves it)."""
+    def put(self, problem: Problem, result: Result,
+            key: str | None = None) -> bool:
+        """Store ``result`` under ``problem``'s key (``key``, when the
+        caller has computed it); returns False when the result cannot be
+        serialized (exotic witness labels) or the disk tier is unwritable
+        (the memory tier still serves it)."""
         if problem.kind is ProblemKind.SATISFIABILITY \
                 and not isinstance(result, SatResult):
             raise TypeError("satisfiability problems cache SatResults")
-        key = problem_fingerprint(problem)
+        if key is None:
+            key = problem_fingerprint(problem)
         try:
             data = encode_result(result)
         except ValueError:

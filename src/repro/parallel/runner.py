@@ -80,7 +80,7 @@ from ..analysis.problems import (
 )
 from ..edtd import EDTD
 from ..xpath.ast import NodeExpr, PathExpr
-from .cache import VerdictCache
+from .cache import VerdictCache, problem_fingerprint
 from .worker import WorkerFailure, serve
 
 __all__ = [
@@ -510,10 +510,13 @@ class ExecutorService:
         problem = problem.canonical()
         outcome = BatchOutcome(index=index, problem=problem)
         outcome.queue_wait_s = time.perf_counter() - submitted
+        key = None
         if self.cache is not None:
             with obs.span("cache.probe") as probe_span:
                 probe_started = time.perf_counter()
-                cached = self.cache.get(problem)
+                # One fingerprint serves the probe and the store below.
+                key = problem_fingerprint(problem)
+                cached = self.cache.get(problem, key)
                 outcome.cache_probe_s = time.perf_counter() - probe_started
                 probe_span.annotate(hit=cached is not None)
             if cached is not None:
@@ -541,7 +544,7 @@ class ExecutorService:
             outcome.error = f"{type(error).__name__}: {error}"
         outcome.worker_time_s = time.perf_counter() - solve_started
         if outcome.result is not None and self.cache is not None:
-            self.cache.put(problem, outcome.result)
+            self.cache.put(problem, outcome.result, key)
         return outcome
 
     @staticmethod

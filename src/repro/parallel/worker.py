@@ -13,8 +13,8 @@ killed and replaced by the parent (see :mod:`repro.parallel.runner`) —
 none of these poison the pool or leak into other problems' verdicts.
 
 Message protocol.  Parent → worker: ``(problem, exclude, collect_stats)``
-per task; ``None`` (or a closed pipe) asks the worker to exit.  Worker →
-parent, per task, in order:
+per task, ``problem`` already in canonical form; ``None`` (or a closed
+pipe) asks the worker to exit.  Worker → parent, per task, in order:
 
 * ``("trying", engine)`` — a new engine attempt begins.  The parent resets
   its per-attempt timeout clock on this message, so each engine gets the
@@ -202,6 +202,10 @@ def _solve(conn, problem: Problem, exclude: frozenset[str],
 
     result = None
     try:
+        # The parent sends the canonical form (at the pass level and
+        # alphabet this worker inherited); recording it as such saves the
+        # dispatch from re-running the rewrite pipeline on the fresh copy.
+        problem = problem.marked_canonical()
         result = default_registry().plan_and_run(
             problem, exclude=exclude, progress=progress)
     except EngineDeclined:

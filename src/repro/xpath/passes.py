@@ -98,6 +98,7 @@ __all__ = [
     "default_pipeline",
     "get_pipeline",
     "is_empty_path",
+    "mark_canonical",
     "register_pipeline",
     "rebuild_union",
     "set_default_pipeline",
@@ -687,6 +688,26 @@ def canonical(expr: Expr, level: str | None = None,
         _CANON[key] = result
         _CANON.setdefault((name, sigma, id(result)), result)
         return result
+
+
+def mark_canonical(expr: Expr,
+                   alphabet: Iterable[str] | None = None) -> Expr:
+    """Record ``expr`` as its own canonical form at the session level and
+    ``alphabet``; returns its interned instance.
+
+    For an expression that :func:`canonical` produced in another process
+    at the session level and the same alphabet: unpickled, it misses this
+    process's memo, and since the pipeline is idempotent its canonical
+    form is itself, so recording it saves re-running the pipeline.  An
+    existing memo entry is kept.  Marking an expression that is not
+    canonical only leaves it unsimplified: engines still see an
+    equivalent expression.
+    """
+    sigma = frozenset(alphabet) if alphabet is not None else None
+    with _lock:
+        root = intern_expr(expr)
+        _CANON.setdefault((_DEFAULT_LEVEL, sigma, id(root)), root)
+        return root
 
 
 def canonical_with_stats(

@@ -7,6 +7,8 @@ Implements the syntactic transformations the paper uses as lemmas:
 * :func:`eq_via_intersect` / :func:`intersect_via_complement` /
   :func:`complement_via_for` / :func:`union_via_complement` — the
   constructive inclusions behind the Figure 1 hierarchy.
+* :func:`intersect_tests_via_eq` — the inverse of ``eq_via_intersect``,
+  applied to every ``⟨α ∩ β⟩`` test of an expression.
 * :func:`substitute_label` — uniform replacement of an atomic label by a
   node expression (used by `let` elimination and the Prop. 4/5/6 reductions).
 * :func:`relativize_axes` — replace every axis ``τ`` by ``τ[γ]`` (and ``τ*``
@@ -38,10 +40,12 @@ from .ast import (
     VarIs,
 )
 from .builders import down_star, up_star
+from .measures import subexpressions
 
 __all__ = [
     "converse",
     "eq_via_intersect",
+    "intersect_tests_via_eq",
     "intersect_via_eq",
     "intersect_via_complement",
     "union_via_complement",
@@ -91,6 +95,52 @@ def converse(path: PathExpr) -> PathExpr:
 def eq_via_intersect(node: PathEquality) -> SomePath:
     """``α ≈ β  ≡  ⟨α ∩ β⟩`` (§2.2): path equality via path intersection."""
     return SomePath(Intersect(node.left, node.right))
+
+
+def intersect_tests_via_eq(expr: Expr) -> Expr:
+    """The inverse of :func:`eq_via_intersect`, wherever it applies: every
+    ``⟨(α ∩ β)[φ]⟩`` in ``expr`` becomes ``α[φ] ≈ β`` and every
+    ``⟨α ∩ β⟩`` becomes ``α ≈ β`` (a chain of filters moves onto ``α``).
+
+    Sound by §2.2: both sides hold at ``n`` iff some ``m`` satisfying
+    ``φ`` is reached from ``n`` by both ``α`` and ``β``.  It lets the 2ATA
+    engine, which decides CoreXPath(*, ≈), take an intersection directly
+    under an existential test; ``∩`` anywhere else is left alone.  Returns
+    ``expr`` itself when nothing changes, without walking it when no
+    ``∩`` occurs.
+    """
+    if not any(isinstance(sub, Intersect) for sub in subexpressions(expr)):
+        return expr
+
+    def walk(e: Expr) -> Expr:
+        match e:
+            case SomePath(path=a):
+                inner = walk(a)
+                core, predicates = inner, []
+                while isinstance(core, Filter):
+                    predicates.append(core.predicate)
+                    core = core.path
+                if isinstance(core, Intersect):
+                    left = core.left
+                    for predicate in reversed(predicates):
+                        left = Filter(left, predicate)
+                    return PathEquality(left, core.right)
+                return e if inner is a else SomePath(inner)
+            case Seq(left=a, right=b) | Union(left=a, right=b) \
+                    | Intersect(left=a, right=b) | Complement(left=a, right=b) \
+                    | And(left=a, right=b) | PathEquality(left=a, right=b) \
+                    | Filter(path=a, predicate=b):
+                x, y = walk(a), walk(b)
+                return e if x is a and y is b else type(e)(x, y)
+            case Star(path=a) | Not(child=a):
+                x = walk(a)
+                return e if x is a else type(e)(x)
+            case ForLoop(var=v, source=a, body=b):
+                x, y = walk(a), walk(b)
+                return e if x is a and y is b else ForLoop(v, x, y)
+        return e  # leaves
+
+    return walk(expr)
 
 
 def intersect_via_eq(path: Intersect) -> PathExpr:

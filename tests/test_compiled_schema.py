@@ -96,6 +96,18 @@ class TestSchemaId:
         assert schema_id_of(phi, edtd=loose) \
             != schema_id_of(phi, edtd=strict)
 
+    def test_digest_memo_holds_one_entry_per_schema(self):
+        """The memo behind the id is keyed by the compiled schema, not by
+        the problem: many problems over one alphabet add one entry."""
+        from repro.analysis import session as session_module
+
+        reset_sessions()
+        ids = {schema_id_of(parse_node(f"p and <{'/'.join(['down'] * n)}[q]>"))
+               for n in range(1, 41)}
+        assert len(ids) == 1
+        assert session_module._schema_digest.cache_info().currsize == 1
+        reset_sessions()
+
 
 # --------------------------------------------------------------- compile-once
 

@@ -124,3 +124,58 @@ class TestTypeSystem:
             for suffix in system.modal_atoms:
                 if suffix[0] == "down*" and t.holds_suffix(suffix[1:]):
                     assert t.holds_suffix(suffix)
+
+
+class TestAdmission:
+    """``ExpspaceEngine.admits`` tests the inputs' fragment instead of
+    building the Prop. 4/5 reductions; it must agree with testing the
+    reductions' formulas, which is what it used to do."""
+
+    @staticmethod
+    def _admits_via_reduction(problem):
+        from repro.analysis.problems import ProblemKind
+        from repro.analysis.reductions import (
+            containment_to_node_unsat,
+            sat_to_edtd_sat,
+        )
+        from repro.xpath.fragments import DOWNWARD_CAP
+
+        if problem.kind is ProblemKind.SATISFIABILITY:
+            if not DOWNWARD_CAP.admits(problem.phi):
+                return False
+            if problem.edtd is None:
+                return DOWNWARD_CAP.admits(sat_to_edtd_sat(problem.phi).formula)
+            return True
+        if problem.kind is ProblemKind.CONTAINMENT:
+            reduction = containment_to_node_unsat(problem.alpha, problem.beta,
+                                                  problem.edtd)
+            return DOWNWARD_CAP.admits(reduction.formula)
+        return False
+
+    @pytest.mark.parametrize("edtd", [None, book_edtd()],
+                             ids=["schemaless", "book"])
+    def test_agrees_with_testing_the_reduction(self, edtd):
+        from repro.analysis.expspace import ExpspaceEngine
+        from repro.analysis.problems import Problem, ProblemKind
+
+        from .helpers import random_path
+
+        rng = random.Random(2416)
+        engine = ExpspaceEngine()
+        operators = frozenset({"cap", "minus", "star", "eq"})
+        admitted = 0
+        for _ in range(1000):
+            # Mostly downward, so both answers occur often.
+            axes = rng.choice([(Axis.DOWN,), (Axis.DOWN,), tuple(Axis)])
+            ops = rng.choice([frozenset({"cap"}), operators])
+            if rng.random() < 0.3:
+                problem = Problem(ProblemKind.SATISFIABILITY, edtd=edtd,
+                                  phi=random_node(rng, 3, ops, axes))
+            else:
+                problem = Problem(ProblemKind.CONTAINMENT, edtd=edtd,
+                                  alpha=random_path(rng, 3, ops, axes),
+                                  beta=random_path(rng, 3, ops, axes))
+            expected = self._admits_via_reduction(problem)
+            assert engine.admits(problem) is expected, problem
+            admitted += expected
+        assert 150 <= admitted <= 850

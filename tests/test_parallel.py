@@ -190,6 +190,24 @@ class TestResultRoundTrip:
         assert clone.per_direction is not None
         assert encode_result(clone) == encode_result(result)
 
+    def test_equivalence_with_inconclusive_directions(self):
+        # A nested ``except`` the split engine does not reach: both
+        # directions are bounded searches that find no witness.
+        from repro.analysis import equivalent
+        result = equivalent(parse_path("down/(down except down[p])"),
+                            parse_path("down/down[not p]"), max_nodes=4)
+        forward, backward = result.per_direction
+        assert forward.verdict is Verdict.NO_WITNESS_WITHIN_BOUND
+        assert backward.verdict is Verdict.NO_WITNESS_WITHIN_BOUND
+        clone = decode_result(encode_result(result))
+        assert clone.verdict is Verdict.NO_WITNESS_WITHIN_BOUND
+        clone_forward, clone_backward = clone.per_direction
+        assert clone_forward.verdict is Verdict.NO_WITNESS_WITHIN_BOUND
+        assert clone_backward.verdict is Verdict.NO_WITNESS_WITHIN_BOUND
+        assert clone_forward.trees_checked == forward.trees_checked
+        assert clone_backward.trees_checked == backward.trees_checked
+        assert encode_result(clone) == encode_result(result)
+
 
 class TestVerdictCache:
     def _problem(self):
@@ -491,6 +509,64 @@ class TestWorkerPool:
         finally:
             service.close()
         assert multiprocessing.active_children() == []
+
+    def test_worker_reuses_the_canonical_form_it_receives(self,
+                                                           monkeypatch):
+        """The coordinator canonicalizes every problem; the worker marks
+        what it receives as canonical instead of re-running the rewrite
+        pipeline on the unpickled copy."""
+        from repro import obs
+        from repro.xpath import passes
+
+        apply = passes.Pass.apply
+
+        def counted(self, expr, alphabet, fired):
+            obs.count(f"rewrite.pass.{self.name}.applied")
+            return apply(self, expr, alphabet, fired)
+
+        # Patched before the pool forks, so the worker inherits it.
+        monkeypatch.setattr(passes.Pass, "apply", counted)
+        service = ExecutorService(workers=1, cache=None, collect_stats=True)
+        try:
+            service.submit(self._problem(1)).result(timeout=60)
+            # Canonicalized by the coordinator after the fork, over labels
+            # no other test uses: neither memo has seen these expressions.
+            fresh = Problem(
+                ProblemKind.CONTAINMENT,
+                alpha=parse_path("/".join(f"down[canon{i}]" for i in range(5))),
+                beta=parse_path("/".join(["down"] * 5)))
+            outcome = service.submit(fresh).result(timeout=60)
+            assert outcome.engine == "patterns"
+            [record] = outcome.worker_records
+            fired = [name for name in record["counters"]
+                     if name.startswith("rewrite.pass.")]
+            assert fired == []
+            assert any(name.startswith("rewrite.pass.")
+                       for name in outcome.coord_stats["counters"])
+        finally:
+            service.close()
+
+    def test_one_fingerprint_per_request(self, tmp_path, monkeypatch):
+        import repro.parallel.cache as cache_module
+        import repro.parallel.runner as runner_module
+
+        calls = []
+        real = cache_module.problem_fingerprint
+
+        def counted(problem):
+            calls.append(problem)
+            return real(problem)
+
+        monkeypatch.setattr(runner_module, "problem_fingerprint", counted)
+        monkeypatch.setattr(cache_module, "problem_fingerprint", counted)
+        service = ExecutorService(workers=1, cache=VerdictCache(tmp_path))
+        try:
+            miss = service.submit(self._problem(2)).result(timeout=60)
+            assert not miss.cache_hit and len(calls) == 1
+            hit = service.submit(self._problem(2)).result(timeout=60)
+            assert hit.cache_hit and len(calls) == 2
+        finally:
+            service.close()
 
     def test_batch_runner_reaps_its_pool(self):
         problems = [self._problem(depth) for depth in range(1, 4)]

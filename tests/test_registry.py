@@ -39,8 +39,8 @@ class TestDefaultRegistry:
         decision = result.stats["meta"]["engine_decision"]
         assert decision["chosen"] == "patterns"
         assert [c["name"] for c in decision["candidates"]] == [
-            "patterns", "expspace", "automata", "bidirectional", "bounded",
-            "random"]
+            "patterns", "expspace", "automata", "bidirectional", "split",
+            "bounded", "random"]
 
     def test_auto_skips_patterns_outside_its_fragment(self):
         # Negation is outside the tree-pattern fragment but inside the
@@ -322,9 +322,10 @@ class TestDeclineVsErrorDistinction:
 
 class TestEquivalenceAggregation:
     def test_per_direction_figures_are_preserved(self):
-        # α ≡ β via bounded search: both directions inconclusive.
-        alpha = parse_path("down except down[p]")
-        beta = parse_path("down[not p]")
+        # α ≡ β via bounded search: both directions inconclusive (the
+        # ``except`` is nested, so the split engine does not reach it).
+        alpha = parse_path("down/(down except down[p])")
+        beta = parse_path("down/down[not p]")
         result = equivalent(alpha, beta, max_nodes=4)
         assert result.verdict is Verdict.NO_WITNESS_WITHIN_BOUND
         forward, backward = result.per_direction

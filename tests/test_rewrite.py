@@ -8,12 +8,23 @@ import pytest
 from repro.semantics import evaluate_nodes, evaluate_path
 from repro.trees import random_tree
 from repro.xpath import parse_node, parse_path
-from repro.xpath.ast import Complement, ForLoop, Intersect, PathEquality, Union
+from repro.xpath.ast import (
+    And,
+    Complement,
+    Filter,
+    ForLoop,
+    Intersect,
+    Not,
+    PathEquality,
+    SomePath,
+    Union,
+)
 from repro.xpath.measures import operators_used
 from repro.xpath.rewrite import (
     complement_via_for,
     converse,
     eq_via_intersect,
+    intersect_tests_via_eq,
     intersect_via_complement,
     intersect_via_eq,
     relativize_axes,
@@ -21,7 +32,7 @@ from repro.xpath.rewrite import (
     union_via_complement,
 )
 
-from .helpers import random_path, relation_as_pairs
+from .helpers import random_node, random_path, relation_as_pairs
 
 
 def inverse(pairs):
@@ -93,6 +104,43 @@ class TestFigure1Inclusions:
                 in evaluate_path(tree, test_form).items() if targets
             }
             assert diagonal == evaluate_nodes(tree, exists_direct)
+
+    @pytest.mark.parametrize("source, expected", [
+        ("<down*[p] intersect down/down>", "eq(down*[p], down/down)"),
+        ("<(up intersect up*[q])[p]>", "eq(up[p], up*[q])"),
+        ("<(up intersect up*)[p][q]>", "eq(up[p][q], up*)"),
+        ("q and not <right intersect right*[p]>",
+         "q and not eq(right, right*[p])"),
+        ("<down[<up intersect up[p]>]>", "<down[eq(up, up[p])]>"),
+    ])
+    def test_intersect_tests_via_eq(self, source, expected):
+        node = parse_node(source)
+        rewritten = intersect_tests_via_eq(node)
+        assert rewritten == parse_node(expected)
+        assert "cap" not in operators_used(rewritten)
+
+    @pytest.mark.parametrize("source", [
+        "<down/down[p]> and q",              # no ∩ at all
+        "<down/(down intersect down[p])>",   # ∩ not directly under ⟨⟩
+        "eq(down intersect up, down)",       # ∩ under ≈, not under ⟨⟩
+    ])
+    def test_intersect_tests_via_eq_keeps_the_object(self, source):
+        node = parse_node(source)
+        assert intersect_tests_via_eq(node) is node
+
+    def test_intersect_tests_via_eq_preserves_semantics(self):
+        rng = random.Random(29)
+        for _ in range(60):
+            meet = Intersect(random_path(rng, 2, frozenset({"cap"})),
+                             random_path(rng, 2, frozenset({"cap"})))
+            for phi in (SomePath(Filter(meet, random_node(rng, 1))),
+                        And(random_node(rng, 1), Not(SomePath(meet)))):
+                rewritten = intersect_tests_via_eq(phi)
+                assert rewritten is not phi
+                for _ in range(4):
+                    tree = random_tree(rng, 7, ["p", "q"])
+                    assert evaluate_nodes(tree, rewritten) == \
+                        evaluate_nodes(tree, phi), phi
 
     def test_intersect_via_complement(self):
         rng = random.Random(26)
