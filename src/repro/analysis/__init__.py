@@ -27,7 +27,6 @@ from .engines import (
     path_satisfiable,
     check_containment,
     relevant_alphabet,
-    random_witness_search,
 )
 from .simplepaths import (
     SimplePath,
@@ -67,7 +66,7 @@ __all__ = [
     "NodeSatReduction", "EDTDSatReduction",
     "containment_to_node_unsat", "sat_to_edtd_sat", "edtd_sat_to_sat",
     "node_satisfiable", "path_satisfiable", "check_containment",
-    "relevant_alphabet", "random_witness_search",
+    "relevant_alphabet",
     "SimplePath", "instantiate", "intersect_simple", "simple_to_path",
     "suffixes",
     "downward_cap_satisfiable", "TypeSystem", "CompleteType",

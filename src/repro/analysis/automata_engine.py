@@ -16,19 +16,19 @@ fallback (cost 100): it admits the full CoreXPath(*, ≈) fragment but no
 EDTD, plus ``∩`` directly under an existential test: ``⟨(α ∩ β)[φ]⟩`` is
 ``α[φ] ≈ β`` (§2.2), so through Prop. 4 an ``∩`` at the top of either
 side of a containment is admitted too.  Like ``expspace`` it declines at
-runtime — ``solve`` returns ``None`` and the registry falls through to
-``bounded`` — when the summary saturation outgrows its guards
+runtime — ``solve`` raises :class:`~repro.analysis.registry.EngineDeclined`
+naming the guard, and the registry falls through to ``bounded`` — when the
+automaton has more than :attr:`AutomataEngine.max_states` states or the
+summary saturation outgrows its guards
 (:class:`~repro.automata.emptiness.EmptinessLimit`).
 
-Every satisfiable verdict is self-validating: the decoded witness tree is
-re-checked against the input formula, as it was before the ``∩ → ≈``
-rewrite, with a compiled plan before the result is returned, so a checker
-bug can surface as a loud error but never as a quietly wrong SAT verdict.
+The decoded witness tree is checked by the registry against the input
+formula, as it was before the ``∩ → ≈`` rewrite, so a checker bug can
+surface as an engine error but never as a quietly wrong SAT verdict.
 """
 
 from __future__ import annotations
 
-from .. import obs
 from ..automata import build_twoata
 from ..automata.emptiness import EmptinessLimit, EmptinessResult, decide_emptiness
 from ..semantics import TreeContext, compile_plan
@@ -36,7 +36,7 @@ from ..xpath.ast import NodeExpr, SomePath
 from ..xpath.fragments import CORE_STAR_EQ
 from ..xpath.rewrite import intersect_tests_via_eq
 from .problems import ContainmentResult, Problem, ProblemKind, SatResult, Verdict
-from .registry import Engine, default_registry
+from .registry import Engine, EngineDeclined, default_registry
 
 __all__ = ["AutomataEngine"]
 
@@ -73,8 +73,7 @@ class AutomataEngine(Engine):
         return False
 
     def solve(self, problem: Problem,
-              session=None) -> SatResult | ContainmentResult | None:
-        obs.note("engine", self.name)
+              session=None) -> SatResult | ContainmentResult:
         # The worker-local schema session: emptiness checks over one
         # schema share the compiled alphabet partition and the bitset
         # kernel's relation memos across the whole batch instead of
@@ -84,12 +83,8 @@ class AutomataEngine(Engine):
         if session is None:
             session = session_for(problem)
         if problem.kind is ProblemKind.SATISFIABILITY:
-            outcome = self._check(problem.phi, session,
-                                  session.compiled.partition)
-            if outcome is None:
-                return None
-            obs.count(f"dispatch.{self.name}")
-            empty, witness, node = outcome
+            empty, witness, node = self._check(problem.phi, session,
+                                               session.compiled.partition)
             if empty:
                 return SatResult(Verdict.UNSATISFIABLE)
             return SatResult(Verdict.SATISFIABLE, witness, node,
@@ -98,12 +93,8 @@ class AutomataEngine(Engine):
         from .reductions import containment_to_node_unsat
 
         reduction = containment_to_node_unsat(problem.alpha, problem.beta)
-        outcome = self._check(reduction.formula, session,
-                              session.compiled.decorated_partition())
-        if outcome is None:
-            return None
-        obs.count(f"dispatch.{self.name}")
-        empty, witness, node = outcome
+        empty, witness, node = self._check(
+            reduction.formula, session, session.compiled.decorated_partition())
         if empty:
             return ContainmentResult(Verdict.UNSATISFIABLE)
         tree, pair = reduction.decode(witness, node)
@@ -111,20 +102,23 @@ class AutomataEngine(Engine):
                                  explored_up_to=tree.size, trees_checked=1)
 
     def _check(self, phi: NodeExpr, session=None,
-               partition=None) -> tuple[bool, object, object] | None:
-        """Emptiness of ``A_φ``: ``(empty, witness, witness_node)``, or
-        ``None`` when the saturation hits its guards.  The automaton is
-        built for φ with every ``⟨α ∩ β⟩`` test rewritten to ``α ≈ β``
-        (:func:`~repro.xpath.rewrite.intersect_tests_via_eq`); a witness is
-        verified against φ itself.  ``partition`` is the
-        compiled schema's alphabet-partition seed; :func:`build_twoata`
-        adopts it only when it matches the formula's own mentioned labels
-        exactly, so verdicts and counters are identical either way."""
+               partition=None) -> tuple[bool, object, object]:
+        """Emptiness of ``A_φ``: ``(empty, witness, witness_node)``; raises
+        :class:`EngineDeclined` when the automaton or the saturation
+        outgrows its guards.  The automaton is built for φ with every
+        ``⟨α ∩ β⟩`` test rewritten to ``α ≈ β``
+        (:func:`~repro.xpath.rewrite.intersect_tests_via_eq`); the witness
+        node is the least node of the witness where φ itself holds (the
+        root when none does, which the registry's witness check rejects).
+        ``partition`` is the compiled schema's alphabet-partition seed;
+        :func:`build_twoata` adopts it only when it matches the formula's
+        own mentioned labels exactly, so verdicts and counters are
+        identical either way."""
         automaton = build_twoata(intersect_tests_via_eq(phi),
                                  partition=partition)
         if automaton.num_states > self.max_states:
-            obs.count(f"dispatch.{self.name}_too_large")
-            return None
+            raise EngineDeclined(f"2ATA has {automaton.num_states} states "
+                                 f"(> max_states={self.max_states})")
         try:
             result: EmptinessResult = decide_emptiness(
                 automaton,
@@ -133,18 +127,12 @@ class AutomataEngine(Engine):
                 max_contexts=self.max_contexts,
                 shared=session.kernel_cache if session is not None else None,
             )
-        except EmptinessLimit:
-            obs.count(f"dispatch.{self.name}_too_large")
-            return None
+        except EmptinessLimit as guard:
+            raise EngineDeclined(str(guard)) from guard
         if result.empty:
             return True, None, None
         nodes = compile_plan(phi).run_single(TreeContext(result.witness))
-        if not nodes:
-            raise RuntimeError(
-                "emptiness produced a witness tree that does not satisfy "
-                "the formula — 2ATA emptiness bug"
-            )
-        return False, result.witness, min(nodes)
+        return False, result.witness, min(nodes, default=0)
 
 
 default_registry().register(AutomataEngine())

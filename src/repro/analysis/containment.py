@@ -3,11 +3,11 @@
 These are thin wrappers: each builds a
 :class:`~repro.analysis.problems.Problem` and hands it to the engine
 registry (:func:`repro.analysis.registry.plan_and_run`).  Which procedure
-runs — the complete Figure 2 EXPSPACE engine, bounded model search,
-randomized sampling — is decided entirely by the registered engines'
-``admits``/``cost_hint`` declarations; no engine-specific branching lives
-here.  The chosen engine and the full candidate decision are part of the
-run record.
+runs — the patterns engine, the complete Figure 2 EXPSPACE engine, 2ATA
+emptiness, bounded model search — is decided entirely by the registered
+engines' ``admits``/``cost_hint`` declarations; no engine-specific
+branching lives here.  The chosen engine and the full candidate decision
+are part of the run record.
 
 Every public entry point takes ``stats=True`` to wrap the run in a
 :mod:`repro.obs` recording: the returned result then carries a

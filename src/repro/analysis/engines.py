@@ -20,19 +20,18 @@ Since the engine-kernel refactor the searches are plan-based: each query is
 compiled once (:func:`repro.semantics.compile_plan` — normalized, interned,
 common subexpressions shared between ``α`` and ``β``) and the compiled plan
 is executed against a fresh :class:`~repro.semantics.TreeContext` per
-candidate tree.  :class:`BoundedEngine` and :class:`RandomEngine` adapt
-these searches to the engine registry.
+candidate tree.  :class:`BoundedEngine` adapts these searches to the
+engine registry.
 """
 
 from __future__ import annotations
 
-import random
 from typing import Iterable, Iterator
 
 from .. import obs
-from ..edtd import EDTD, all_conforming_trees, random_conforming_tree
+from ..edtd import EDTD, all_conforming_trees
 from ..semantics import TreeContext, compile_plan
-from ..trees import XMLTree, all_trees, random_tree
+from ..trees import XMLTree, all_trees
 from ..xpath.ast import Expr, NodeExpr, PathExpr
 from ..xpath.measures import labels_used
 from .problems import (
@@ -48,12 +47,10 @@ from .registry import Engine, default_registry
 
 __all__ = [
     "BoundedEngine",
-    "RandomEngine",
     "node_satisfiable",
     "path_satisfiable",
     "check_containment",
     "relevant_alphabet",
-    "random_witness_search",
     "DEFAULT_MAX_NODES",
 ]
 
@@ -216,36 +213,6 @@ def check_containment(
                                  explored_up_to=max_nodes, trees_checked=checked)
 
 
-def random_witness_search(
-    phi: NodeExpr,
-    rng: random.Random,
-    attempts: int = 2000,
-    max_nodes: int = 12,
-    edtd: EDTD | None = None,
-    alphabet: Iterable[str] | None = None,
-) -> SatResult:
-    """Randomized witness search: samples larger trees than the exhaustive
-    engine can afford.  Finding a witness is conclusive; not finding one is
-    only evidence."""
-    alphabet = list(alphabet) if alphabet is not None else relevant_alphabet(phi, edtd=edtd)
-    plan = compile_plan(phi)
-    with obs.span("bounded.random_search", attempts=attempts,
-                  max_nodes=max_nodes):
-        for attempt in range(attempts):
-            if edtd is not None:
-                tree = random_conforming_tree(edtd, rng, max_nodes=max_nodes)
-            else:
-                tree = random_tree(rng, max_nodes, alphabet)
-            obs.count("trees.sampled")
-            obs.count("evaluator.calls")
-            nodes = plan.run(TreeContext(tree))[0]
-            assert isinstance(nodes, frozenset)
-            if nodes:
-                return SatResult(Verdict.SATISFIABLE, tree, min(nodes),
-                                 trees_checked=attempt + 1)
-        return SatResult(Verdict.NO_WITNESS_WITHIN_BOUND, trees_checked=attempts)
-
-
 # ----------------------------------------------------------- registry glue
 
 
@@ -263,8 +230,6 @@ class BoundedEngine(Engine):
 
     def solve(self, problem: Problem,
               session=None) -> SatResult | ContainmentResult:
-        obs.note("engine", self.name)
-        obs.count(f"dispatch.{self.name}")
         if problem.kind is ProblemKind.SATISFIABILITY:
             assert problem.phi is not None
             return node_satisfiable(problem.phi, max_nodes=problem.max_nodes,
@@ -274,32 +239,4 @@ class BoundedEngine(Engine):
                                  max_nodes=problem.max_nodes, edtd=problem.edtd)
 
 
-class RandomEngine(Engine):
-    """Randomized witness sampling: reaches deeper trees than exhaustive
-    search, but only its positive verdicts mean anything.  Never chosen
-    automatically — the bounded engine admits everything this one does at a
-    lower cost hint — so it runs only when forced by name."""
-
-    name = "random"
-    conclusive = False
-    cost_hint = 1000
-    attempts = 2000
-    sample_max_nodes = 12
-
-    def admits(self, problem: Problem) -> bool:
-        return problem.kind is ProblemKind.SATISFIABILITY
-
-    def solve(self, problem: Problem, session=None) -> SatResult:
-        obs.note("engine", self.name)
-        obs.count(f"dispatch.{self.name}")
-        assert problem.phi is not None
-        rng = random.Random(0)
-        return random_witness_search(
-            problem.phi, rng, attempts=self.attempts,
-            max_nodes=max(problem.max_nodes, self.sample_max_nodes),
-            edtd=problem.edtd,
-        )
-
-
 default_registry().register(BoundedEngine())
-default_registry().register(RandomEngine())

@@ -363,9 +363,9 @@ def _reconstruct(
 
 # ----------------------------------------------------------- registry glue
 
-from .registry import Engine, default_registry  # noqa: E402  (after the
-# algorithm proper: the registry depends only on .problems, so this import
-# cannot cycle back into this module.)
+# After the algorithm proper: the registry depends only on .problems, so
+# this import cannot cycle back into this module.
+from .registry import Engine, EngineDeclined, default_registry  # noqa: E402
 
 
 class ExpspaceEngine(Engine):
@@ -374,9 +374,11 @@ class ExpspaceEngine(Engine):
     Admits CoreXPath↓(∩) inputs — directly for satisfiability w.r.t. a
     schema, via the Prop. 5 reduction for schemaless satisfiability, via
     the Prop. 4 reduction for containment.  Verdicts are always
-    conclusive.  Declines at runtime (``solve`` returns ``None``) when the
-    explicit type enumeration would not fit in memory; the registry then
-    falls through to the bounded engine.
+    conclusive.  Declines at runtime (``solve`` raises
+    :class:`~repro.analysis.registry.EngineDeclined` with the
+    :class:`TooManyModalAtoms` message) when the explicit type enumeration
+    would not fit in memory; the registry then falls through to the
+    bounded engine.
     """
 
     name = "expspace"
@@ -400,7 +402,6 @@ class ExpspaceEngine(Engine):
         from .reductions import containment_to_node_unsat
         from .session import session_for
 
-        obs.note("engine", self.name)
         if session is None:
             session = session_for(problem)
         compiled = session.compiled
@@ -409,16 +410,10 @@ class ExpspaceEngine(Engine):
         # but its content NFAs and type frame are already warm.
         edtd = compiled.edtd if compiled.edtd is not None else problem.edtd
         if problem.kind is ProblemKind.SATISFIABILITY:
-            result = self._satisfiable(problem.phi, edtd, compiled)
-            if result is not None:
-                obs.count(f"dispatch.{self.name}")
-            return result
+            return self._satisfiable(problem.phi, edtd, compiled)
         reduction = containment_to_node_unsat(problem.alpha, problem.beta,
                                               edtd, schema=compiled)
         inner = self._satisfiable(reduction.formula, reduction.edtd, compiled)
-        if inner is None:
-            return None
-        obs.count(f"dispatch.{self.name}")
         if inner.verdict is Verdict.SATISFIABLE:
             tree, pair = reduction.decode(inner.witness, inner.witness_node)
             return ContainmentResult(Verdict.SATISFIABLE, tree, pair,
@@ -428,31 +423,26 @@ class ExpspaceEngine(Engine):
                                  trees_checked=inner.trees_checked)
 
     def _satisfiable(self, phi: NodeExpr, edtd: EDTD | None,
-                     compiled=None) -> SatResult | None:
+                     compiled=None) -> SatResult:
+        """Figure 2 on ``φ`` w.r.t. ``edtd``; without one, on its Prop. 5
+        reduction, whose witness is decoded back."""
         from .reductions import sat_to_edtd_sat
 
+        reduction = None
         if edtd is None:
             reduction = sat_to_edtd_sat(phi, schema=compiled)
-            frame = None if compiled is None \
-                else compiled.type_frame(reduction.edtd)
-            try:
-                inner = downward_cap_satisfiable(reduction.formula,
-                                                 reduction.edtd, frame=frame)
-            except TooManyModalAtoms:
-                obs.count("dispatch.expspace_too_large")
-                return None
-            if inner.verdict is Verdict.SATISFIABLE:
-                tree, node = reduction.decode(inner.witness, inner.witness_node)
-                return SatResult(Verdict.SATISFIABLE, tree, node,
-                                 explored_up_to=tree.size,
-                                 trees_checked=inner.trees_checked)
-            return inner
+            phi, edtd = reduction.formula, reduction.edtd
         frame = None if compiled is None else compiled.type_frame(edtd)
         try:
-            return downward_cap_satisfiable(phi, edtd, frame=frame)
-        except TooManyModalAtoms:
-            obs.count("dispatch.expspace_too_large")
-            return None
+            result = downward_cap_satisfiable(phi, edtd, frame=frame)
+        except TooManyModalAtoms as guard:
+            raise EngineDeclined(str(guard)) from guard
+        if reduction is None or result.verdict is not Verdict.SATISFIABLE:
+            return result
+        tree, node = reduction.decode(result.witness, result.witness_node)
+        return SatResult(Verdict.SATISFIABLE, tree, node,
+                         explored_up_to=tree.size,
+                         trees_checked=result.trees_checked)
 
 
 default_registry().register(ExpspaceEngine())

@@ -29,17 +29,16 @@ and Facchini et al. in PAPERS.md):
   search carries a step budget and declines past it (``expspace`` picks
   the problem up).
 
-Every positive verdict is self-validating, exactly like the ``automata``
-engine: witness trees and counterexample pairs are re-checked with a
-compiled :class:`~repro.semantics.plan.Plan` (plus
-:meth:`~repro.edtd.EDTD.conforms` under a schema) before being returned,
-so a checker bug surfaces as a loud ``RuntimeError`` rather than a quietly
-wrong verdict.
+Like every engine's, its witness trees and counterexample pairs are
+checked by the registry with a compiled
+:class:`~repro.semantics.plan.Plan` (plus
+:meth:`~repro.edtd.EDTD.conforms` under a schema) before they become a
+verdict.  Each canonical model is also checked to lie in ``α``, which
+protects the "contained" verdicts.
 
-Observability: ``patterns.admitted`` / ``patterns.declined`` count
-fragment admission at solve time, ``patterns.embeddings`` counts
-homomorphism searches and ``patterns.table_cells`` the memoized node-pair
-cells they filled; ``patterns.models`` counts canonical models checked and
+Observability: ``patterns.embeddings`` counts homomorphism searches and
+``patterns.table_cells`` the memoized node-pair cells they filled;
+``patterns.models`` counts canonical models checked and
 ``patterns.cover.steps`` the schema cover-search work.
 """
 
@@ -49,7 +48,6 @@ import itertools
 from typing import Iterator
 
 from .. import obs
-from ..edtd import EDTD
 from ..edtd.compiled import SchemaTables
 from ..semantics import TreeContext, compile_plan
 from ..trees import XMLTree
@@ -61,7 +59,7 @@ from ..xpath.fragments import (
 )
 from .problems import ContainmentResult, Problem, ProblemKind, SatResult, Verdict
 from .reductions import fresh_label
-from .registry import Engine, default_registry
+from .registry import Engine, EngineDeclined, default_registry
 
 __all__ = ["PatternsEngine"]
 
@@ -185,10 +183,6 @@ def embeds(beta: TreePattern, alpha: TreePattern) -> bool:
 # ------------------------------------------------------ schema cover search
 
 
-class _CoverBudget(Exception):
-    """The cover search exhausted its step budget (engine declines)."""
-
-
 #: ``(label, [child specs...])`` as accepted by :meth:`XMLTree.build`.
 _Spec = tuple
 
@@ -198,12 +192,6 @@ def _subsets(nodes: frozenset[int]) -> Iterator[frozenset[int]]:
     for r in range(len(ordered) + 1):
         for combo in itertools.combinations(ordered, r):
             yield frozenset(combo)
-
-
-# The per-EDTD realizability/reachability fixpoints moved into the
-# compile-once schema artifact (one instance per schema, shared by every
-# problem of a batch); the old private name stays importable.
-_SchemaTables = SchemaTables
 
 
 class _CoverSearch:
@@ -216,10 +204,10 @@ class _CoverSearch:
     ``visiting`` set cuts derivation cycles (a minimal witness never
     repeats a ``(G, B, t)`` key along a root path, so the cut preserves
     completeness), and every expansion step draws down a shared budget —
-    exhausting it aborts the solve and the engine declines.
+    exhausting it aborts the solve with :class:`EngineDeclined`.
     """
 
-    def __init__(self, pattern: TreePattern, tables: _SchemaTables,
+    def __init__(self, pattern: TreePattern, tables: SchemaTables,
                  budget: int):
         self.pattern = pattern
         self.tables = tables
@@ -232,7 +220,8 @@ class _CoverSearch:
         self.steps += 1
         obs.count("patterns.cover.steps")
         if self.steps > self.budget:
-            raise _CoverBudget
+            raise EngineDeclined(
+                f"schema cover search exceeded {self.budget} steps")
 
     def cover(self, G: frozenset[int], B: frozenset[int],
               t: str) -> _Spec | None:
@@ -367,44 +356,19 @@ class PatternsEngine(Engine):
         return False
 
     def solve(self, problem: Problem,
-              session=None) -> SatResult | ContainmentResult | None:
-        obs.note("engine", self.name)
-        with obs.span("patterns.solve", kind=problem.kind.value):
-            return self._solve(problem, session)
-
-    def _solve(self, problem: Problem,
-               session=None) -> SatResult | ContainmentResult | None:
+              session=None) -> SatResult | ContainmentResult:
         if problem.kind is ProblemKind.SATISFIABILITY:
-            pattern = compile_pattern(problem.phi)
-            if pattern is None:
-                obs.count("patterns.declined")
-                return None
-            obs.count("patterns.admitted")
+            pattern = _pattern(problem.phi)
             if problem.edtd is None:
-                result = self._sat_schemaless(pattern, problem)
-            else:
-                result = self._sat_schema(pattern, problem, session)
-        elif problem.kind is ProblemKind.CONTAINMENT and problem.edtd is None:
-            alpha = compile_pattern(problem.alpha)
-            beta = compile_pattern(problem.beta)
-            if alpha is None or beta is None:
-                obs.count("patterns.declined")
-                return None
-            obs.count("patterns.admitted")
-            result = self._containment(alpha, beta, problem)
-        else:
-            obs.count("patterns.declined")
-            return None
-        if result is None:
-            obs.count("patterns.declined")
-            return None
-        obs.count(f"dispatch.{self.name}")
-        return result
+                return self._sat_schemaless(pattern)
+            return self._sat_schema(pattern, problem, session)
+        assert problem.edtd is None  # admitted: schemaless containment
+        return self._containment(_pattern(problem.alpha),
+                                 _pattern(problem.beta), problem)
 
     # ------------------------------------------------------- satisfiability
 
-    def _sat_schemaless(self, pattern: TreePattern,
-                        problem: Problem) -> SatResult:
+    def _sat_schemaless(self, pattern: TreePattern) -> SatResult:
         if pattern.conflicted:
             return SatResult(Verdict.UNSATISFIABLE)
         fill = fresh_label(pattern.all_labels)
@@ -412,18 +376,15 @@ class PatternsEngine(Engine):
         built = instantiate(pattern, lengths, fill)
         assert built is not None  # length-1 expansion never merges
         tree, pos = built
-        node = pos[pattern.root]
-        self._verify_sat(problem, tree, node)
-        return SatResult(Verdict.SATISFIABLE, tree, node,
+        return SatResult(Verdict.SATISFIABLE, tree, pos[pattern.root],
                          explored_up_to=tree.size, trees_checked=1)
 
     def _sat_schema(self, pattern: TreePattern, problem: Problem,
-                    session=None) -> SatResult | None:
+                    session=None) -> SatResult:
         if pattern.conflicted:
             return SatResult(Verdict.UNSATISFIABLE)
         from .session import session_for
 
-        assert problem.edtd is not None
         if session is None:
             session = session_for(problem)
         # The realizability fixpoints live on the compile-once schema
@@ -437,37 +398,23 @@ class PatternsEngine(Engine):
             search = cache[("cover", pattern)] = _CoverSearch(
                 pattern, tables, self.max_cover_steps)
         search.steps = 0  # budget is per solve; memo persists
-        try:
-            for t in sorted(tables.reach):
-                spec = search.cover(frozenset({pattern.root}), frozenset(), t)
-                if spec is None:
-                    continue
-                full, path = tables.context(t, spec)
-                tree = XMLTree.build(full)
-                node = 0
-                for index in path:
-                    node = tree.children(node)[index]
-                if not problem.edtd.conforms(tree):
-                    raise RuntimeError(
-                        "patterns engine built a non-conforming witness")
-                self._verify_sat(problem, tree, node)
-                return SatResult(Verdict.SATISFIABLE, tree, node,
-                                 explored_up_to=tree.size, trees_checked=1)
-            return SatResult(Verdict.UNSATISFIABLE)
-        except _CoverBudget:
-            return None
-
-    def _verify_sat(self, problem: Problem, tree: XMLTree, node: int) -> None:
-        assert problem.phi is not None
-        satisfied = compile_plan(problem.phi).run_single(TreeContext(tree))
-        if node not in satisfied:
-            raise RuntimeError(
-                f"patterns witness does not satisfy the formula at {node}")
+        for t in sorted(tables.reach):
+            spec = search.cover(frozenset({pattern.root}), frozenset(), t)
+            if spec is None:
+                continue
+            full, path = tables.context(t, spec)
+            tree = XMLTree.build(full)
+            node = 0
+            for index in path:
+                node = tree.children(node)[index]
+            return SatResult(Verdict.SATISFIABLE, tree, node,
+                             explored_up_to=tree.size, trees_checked=1)
+        return SatResult(Verdict.UNSATISFIABLE)
 
     # ----------------------------------------------------------- containment
 
     def _containment(self, alpha: TreePattern, beta: TreePattern,
-                     problem: Problem) -> ContainmentResult | None:
+                     problem: Problem) -> ContainmentResult:
         if alpha.conflicted:
             # [[α]] is empty on every tree: containment holds vacuously.
             return ContainmentResult(Verdict.UNSATISFIABLE)
@@ -475,8 +422,10 @@ class PatternsEngine(Engine):
             return ContainmentResult(Verdict.UNSATISFIABLE)
         flexible = alpha.desc_edges()
         bound = beta.size + 1
-        if (bound + 1) ** len(flexible) > self.max_models:
-            return None
+        models = (bound + 1) ** len(flexible)
+        if models > self.max_models:
+            raise EngineDeclined(f"{models} canonical models "
+                                 f"(> max_models={self.max_models})")
         fill = fresh_label(alpha.all_labels | beta.all_labels)
         assert problem.alpha is not None and problem.beta is not None
         plan = compile_plan(problem.alpha, problem.beta)
@@ -502,6 +451,14 @@ class PatternsEngine(Engine):
                     explored_up_to=tree.size, trees_checked=checked)
         return ContainmentResult(Verdict.UNSATISFIABLE,
                                  trees_checked=checked)
+
+
+def _pattern(expr) -> TreePattern:
+    """``expr``'s tree pattern; declines when it does not compile to one."""
+    pattern = compile_pattern(expr)
+    if pattern is None:
+        raise EngineDeclined("not a positive downward tree pattern")
+    return pattern
 
 
 default_registry().register(PatternsEngine())

@@ -8,17 +8,22 @@ An :class:`Engine` wraps one decision procedure behind a uniform interface:
 * ``conclusive`` — whether its negative verdicts are proofs;
 * ``cost_hint`` — a rough ordering key; the registry tries admitted
   engines cheapest-first, so a complete polynomial-ish procedure beats
-  exhaustive search beats random sampling;
-* ``solve(problem, session)`` — run it, or return ``None`` to *decline at
-  runtime* (e.g. the EXPSPACE engine's type space blows past its memory
-  guard — something ``admits`` cannot see syntactically).  ``session`` is
-  the problem's :class:`~repro.analysis.session.SchemaSession`, carrying
-  the compile-once :class:`~repro.edtd.compiled.CompiledSchema` every
-  engine consumes instead of rebuilding its per-schema machinery.
+  exhaustive search;
+* ``solve(problem, session)`` — decide it, or raise
+  :class:`EngineDeclined` with a reason to *decline at runtime* (e.g. the
+  EXPSPACE engine's type space blows past its memory guard — something
+  ``admits`` cannot see syntactically).  ``session`` is the problem's
+  :class:`~repro.analysis.session.SchemaSession`, carrying the
+  compile-once :class:`~repro.edtd.compiled.CompiledSchema` every engine
+  consumes instead of rebuilding its per-schema machinery.
 
-:func:`plan_and_run` is the single dispatch point for the whole analysis
-API: ``satisfiable``/``contains``/``equivalent`` build a
-:class:`~repro.analysis.problems.Problem` and call it.  Every run notes an
+Engines only decide.  :func:`plan_and_run` is the single dispatch point
+for the whole analysis API (``satisfiable``/``contains``/``equivalent``
+build a :class:`~repro.analysis.problems.Problem` and call it), and the
+only code that handles what happens around an attempt: it opens the
+attempt's ``engine.<name>`` span, records a decline with its reason or an
+error, checks every witness against the problem's models (§2.3), and
+notes and counts the engine that answered.  Every run notes an
 ``engine_decision`` record — the full candidate list with admission
 verdicts and the engine finally chosen — so run records explain *why* a
 problem went where it did.
@@ -49,8 +54,9 @@ Result = SatResult | ContainmentResult
 
 
 class EngineDeclined(ValueError):
-    """A forced engine could not take its problem: it either does not admit
-    the input or declined at runtime (e.g. a memory guard tripped)."""
+    """An engine does not take a problem: raised by ``solve`` to decline at
+    runtime (its message is the reason, e.g. which guard tripped), and by
+    the dispatch when a forced engine does not admit or declines."""
 
 
 class Engine:
@@ -68,10 +74,13 @@ class Engine:
         """Cheap syntactic admissibility check."""
         raise NotImplementedError
 
-    def solve(self, problem: Problem, session=None) -> Result | None:
-        """Decide ``problem``, or return ``None`` to decline at runtime.
+    def solve(self, problem: Problem, session=None) -> Result:
+        """Decide ``problem``, or raise :class:`EngineDeclined` with the
+        reason to decline at runtime.
 
-        ``session`` is the problem's
+        Only the decision belongs here: :meth:`EngineRegistry.plan_and_run`
+        traces the attempt, checks a witness, and notes and counts the
+        engine that answered.  ``session`` is the problem's
         :class:`~repro.analysis.session.SchemaSession` (the dispatcher
         always passes it); engines resolve it themselves via
         :func:`~repro.analysis.session.session_for` when called directly
@@ -128,19 +137,27 @@ class EngineRegistry:
         engine exception is re-raised — except for equivalence, where the
         preference is forwarded to the per-direction subproblems.
 
-        An attempt ends without a result in three ways: ``solve`` returns
-        ``None`` or raises :class:`EngineDeclined` (a *clean* decline, e.g.
-        a nested dispatch whose engine declined: the entry is marked
-        ``declined`` and ``dispatch.declined.<name>`` counted), or it
-        raises anything else (an engine error: the entry records it under
-        ``error`` and ``dispatch.error.<name>`` is counted).  Either way an
-        unforced dispatch falls through to the next admitted engine; when
-        none is left it re-raises the last exception, or raises
-        :class:`EngineDeclined` if no engine raised.  Each dispatch notes
-        one ``engine_decision`` record on exit — every candidate with its
-        admission verdict and any ``declined``/``error`` mark, plus the
-        engine chosen (``None`` on failure) — except that an unknown or
-        already-tried forced engine raises before anything is recorded.
+        Each attempt runs in an ``engine.<name>`` span whose ``status`` is
+        ``result``, ``declined`` or ``failed``.  A ``SATISFIABLE`` result
+        must pass :func:`_check_witness` — its witness is evaluated on a
+        compiled plan of the dispatched problem, and must conform to the
+        problem's EDTD — before it counts as an answer; the engine that
+        answered is then noted as the run's ``engine`` and counted as
+        ``dispatch.<name>``.  An attempt ends without a result in two
+        ways: ``solve`` raises :class:`EngineDeclined` (a *clean*
+        decline: the entry is marked ``declined`` with the message as its
+        ``reason``, and ``dispatch.declined.<name>`` is counted), or
+        anything else is raised, a failed witness check included (an
+        engine error: the entry records it under ``error`` and
+        ``dispatch.error.<name>`` is counted).  Either way an unforced
+        dispatch falls through to the next admitted engine; when none is
+        left it re-raises the last error, or raises
+        :class:`EngineDeclined` naming every decline's reason.  Each dispatch
+        notes one ``engine_decision`` record on exit — every candidate
+        with its admission verdict and any ``declined``/``error`` mark,
+        plus the engine chosen (``None`` on failure) — except that an
+        unknown or already-tried forced engine raises before anything is
+        recorded.
 
         ``exclude`` names engines this dispatch must not try (a worker
         resuming the ladder after a timed-out engine).  ``progress``, if
@@ -188,43 +205,90 @@ class EngineRegistry:
 
                 session = session_for(problem) if ladder else None
                 for engine, entry in ladder:
-                    notify("trying", engine.name, None)
-                    failure: Exception | None = None
-                    try:
-                        result = engine.solve(problem, session)
-                    except Exception as error:
-                        # An engine bug or an uncaught guard must not
-                        # abort the whole dispatch.
-                        result, failure = None, error
-                    if result is not None:
-                        chosen = engine.name
-                        obs.observe("dispatch.solve_s",
-                                    time.perf_counter() - dispatch_start)
-                        notify("result", engine.name, result)
-                        return result
-                    if failure is None or isinstance(failure, EngineDeclined):
-                        entry["declined"] = True
-                        obs.count(f"dispatch.declined.{engine.name}")
-                        notify("declined", engine.name,
-                               "declined at runtime" if failure is None
-                               else str(failure))
-                    else:
-                        entry["error"] = f"{type(failure).__name__}: {failure}"
-                        obs.count(f"dispatch.error.{engine.name}")
-                        notify("failed", engine.name, failure)
-                    if forced is not None:
-                        raise failure if failure is not None else \
-                            EngineDeclined(f"engine {forced!r} declined this "
-                                           f"{kind} problem at runtime")
-                    if failure is not None:
-                        last_error = failure
+                    name = engine.name
+                    notify("trying", name, None)
+                    with obs.span(f"engine.{name}") as span:
+                        try:
+                            result = engine.solve(problem, session)
+                            if result.verdict is Verdict.SATISFIABLE:
+                                _check_witness(problem, result)
+                        except EngineDeclined as decline:
+                            span.annotate(status="declined")
+                            entry.update(declined=True, reason=str(decline))
+                            obs.count(f"dispatch.declined.{name}")
+                            notify("declined", name, str(decline))
+                            if forced is not None:
+                                raise EngineDeclined(
+                                    f"engine {forced!r} declined this {kind} "
+                                    f"problem at runtime: {decline}"
+                                ) from decline
+                            continue
+                        except Exception as error:
+                            # An engine bug, an uncaught guard or a witness
+                            # that fails its check must not abort the whole
+                            # dispatch.
+                            span.annotate(status="failed")
+                            entry["error"] = f"{type(error).__name__}: {error}"
+                            obs.count(f"dispatch.error.{name}")
+                            notify("failed", name, error)
+                            if forced is not None:
+                                raise
+                            last_error = error
+                            continue
+                        span.annotate(status="result")
+                    chosen = name
+                    obs.note("engine", name)
+                    obs.count(f"dispatch.{name}")
+                    obs.observe("dispatch.solve_s",
+                                time.perf_counter() - dispatch_start)
+                    notify("result", name, result)
+                    return result
             if last_error is not None:
                 raise last_error
+            reasons = "; ".join(f"{entry['name']}: {entry['reason']}"
+                                for entry in decision if "reason" in entry)
             raise EngineDeclined(
-                f"no registered engine admits this {kind} problem")
+                f"no registered engine admits this {kind} problem"
+                + (f" ({reasons})" if reasons else ""))
         finally:
             obs.note("engine_decision",
                      {"candidates": decision, "chosen": chosen})
+
+
+def _check_witness(problem: Problem, result: Result) -> None:
+    """Raise unless the ``SATISFIABLE`` ``result`` is a model of
+    ``problem`` (§2.3), evaluated on a compiled plan of its expressions.
+
+    Satisfiability: ``witness_node`` is in ``[[φ]]`` on ``witness``.
+    Containment: ``counterexample_pair`` is in ``[[α]]`` and not in
+    ``[[β]]``.  Equivalence: the pair is in exactly one of them.  With an
+    EDTD the tree must also conform to it.
+    """
+    from ..semantics import TreeContext, compile_plan
+
+    if isinstance(result, SatResult):
+        tree = result.witness
+        assert tree is not None and problem.phi is not None
+        satisfied = compile_plan(problem.phi).run_single(TreeContext(tree))
+        if result.witness_node not in satisfied:
+            raise RuntimeError(f"witness node {result.witness_node} does not "
+                               "satisfy the formula")
+    else:
+        tree, pair = result.counterexample, result.counterexample_pair
+        assert tree is not None and pair is not None
+        source, target = pair
+        in_alpha, in_beta = (
+            target in relation.get(source, ()) for relation in
+            compile_plan(problem.alpha, problem.beta).run(TreeContext(tree)))
+        if problem.kind is ProblemKind.EQUIVALENCE:
+            if in_alpha == in_beta:
+                raise RuntimeError(f"counterexample {pair} does not separate "
+                                   "the two sides")
+        elif not in_alpha or in_beta:
+            raise RuntimeError(f"counterexample {pair} does not refute the "
+                               "containment")
+    if problem.edtd is not None and not problem.edtd.conforms(tree):
+        raise RuntimeError("witness tree does not conform to the EDTD")
 
 
 def _no_progress(event: str, engine: str, detail) -> None:
@@ -313,9 +377,9 @@ class SplitEngine(Engine):
     reaches ``expspace`` when it is downward and ``automata`` (as
     ``α ≈ γ``) otherwise.  The engine admits a problem only when a
     conclusive engine admits every sub-problem: a shape nothing here can
-    decide still costs one bounded search, not one per sub-problem.  A
-    counterexample is re-checked against the original containment with a
-    compiled plan before it is returned.
+    decide still costs one bounded search, not one per sub-problem.  Its
+    counterexample is checked against the original containment by the
+    dispatch, like every witness.
     """
 
     name = "split"
@@ -343,15 +407,10 @@ class SplitEngine(Engine):
             results.append(result)
             if result.verdict is Verdict.SATISFIABLE:
                 tree, pair = _counterexample(problem, part, result)
-                combined = ContainmentResult(
+                return ContainmentResult(
                     Verdict.SATISFIABLE, tree, pair, explored_up_to=tree.size,
                     trees_checked=sum(r.trees_checked for r in results))
-                break
-        else:
-            combined = _all_hold(tuple(results))
-        obs.note("engine", self.name)
-        obs.count(f"dispatch.{self.name}")
-        return combined
+        return _all_hold(tuple(results))
 
 
 def _split(problem: Problem) -> tuple[Problem, ...] | None:
@@ -380,34 +439,25 @@ def _split(problem: Problem) -> tuple[Problem, ...] | None:
 def _counterexample(problem: Problem, part: Problem,
                     result: Result) -> tuple:
     """``(tree, (n, m))`` refuting ``problem`` from a witness of one of its
-    sub-problems, plan-verified: ``(n, m)`` is in ``α`` and not in ``β``.
+    sub-problems (the dispatch checks it against ``problem``).
 
     A containment part's counterexample carries over as it is.  A witness
     node ``n`` of ``⟨α ∩ γ⟩`` yields ``(n, m)`` for the least ``m`` in
     ``α(n) ∩ γ(n)``.
     """
+    if isinstance(result, ContainmentResult):
+        return result.counterexample, result.counterexample_pair
     from ..semantics import TreeContext, compile_plan
 
-    alpha, beta = problem.alpha, problem.beta
-    if isinstance(result, ContainmentResult):
-        tree, pair = result.counterexample, result.counterexample_pair
-        in_alpha, in_beta = compile_plan(alpha, beta).run(TreeContext(tree))
-    else:
-        tree, node = result.witness, result.witness_node
-        gamma = beta.right  # type: ignore[union-attr]
-        in_alpha, in_beta, in_gamma = compile_plan(alpha, beta, gamma).run(
-            TreeContext(tree))
-        meet = in_alpha.get(node, frozenset()) & in_gamma.get(node, frozenset())
-        if not meet:
-            raise RuntimeError(
-                f"the witness of {part.phi} has no α ∩ γ target at its node")
-        pair = (node, min(meet))
-    source, target = pair
-    if target not in in_alpha.get(source, frozenset()) \
-            or target in in_beta.get(source, frozenset()):
+    tree, node = result.witness, result.witness_node
+    gamma = problem.beta.right  # type: ignore[union-attr]
+    in_alpha, in_gamma = compile_plan(problem.alpha, gamma).run(
+        TreeContext(tree))
+    meet = in_alpha.get(node, frozenset()) & in_gamma.get(node, frozenset())
+    if not meet:
         raise RuntimeError(
-            f"split counterexample {pair} does not refute the containment")
-    return tree, pair
+            f"the witness of {part.phi} has no α ∩ γ target at its node")
+    return tree, (node, min(meet))
 
 
 _DEFAULT: EngineRegistry | None = None

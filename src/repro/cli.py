@@ -33,7 +33,7 @@ stderr), ``--trace FILE`` (a Chrome trace-event JSON file — load it at
 https://ui.perfetto.dev — whose ``otherData.runs`` carries the full
 :class:`repro.obs.RunRecord` dicts; ``-`` for stderr), and
 ``--engine NAME`` to force a registered decision engine (``patterns``,
-``expspace``, ``automata``, ``bounded``, ``random``; the default ``auto``
+``expspace``, ``automata``, ``bounded``, ``split``; the default ``auto``
 lets the engine registry pick — see :mod:`repro.analysis.registry`), and
 ``--passes {none,basic,full}`` to set the session rewrite-pipeline level
 (:mod:`repro.xpath.passes`; default ``full``) applied to every expression
@@ -573,7 +573,7 @@ def _add_obs_flags(subparser: argparse.ArgumentParser) -> None:
     subparser.add_argument(
         "--engine", metavar="NAME", default="auto",
         help="force a registered decision engine (e.g. patterns, expspace, "
-             "automata, bounded, random); default: auto-select the cheapest "
+             "automata, bounded); default: auto-select the cheapest "
              "conclusive engine that admits the input")
     subparser.add_argument(
         "--passes", choices=["none", "basic", "full"], default="full",
@@ -790,10 +790,10 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except Exception as error:  # noqa: BLE001
         # The stream/exit-code contract holds even when a decision engine
-        # raises something unexpected mid-solve (a guard like
-        # TooManyModalAtoms is a RuntimeError, and --engine NAME re-raises
-        # the forced engine's exception verbatim): no tracebacks on the
-        # answer stream, diagnostics to stderr, exit 2.
+        # raises something unexpected mid-solve (--engine NAME re-raises
+        # the forced engine's exception verbatim, a witness that fails the
+        # registry's check included): no tracebacks on the answer stream,
+        # diagnostics to stderr, exit 2.
         print(f"error: {type(error).__name__}: {error}", file=sys.stderr)
         return 2
 

@@ -20,7 +20,8 @@ pipe) asks the worker to exit.  Worker → parent, per task, in order:
   its per-attempt timeout clock on this message, so each engine gets the
   full budget.
 * ``("declined", engine, reason)`` — the engine declined at runtime (its
-  ``solve`` returned ``None``, e.g. the EXPSPACE memory guard).
+  ``solve`` raised ``EngineDeclined``, e.g. the EXPSPACE memory guard;
+  ``reason`` is the exception's message).
 * ``("failed", engine, failure_dict)`` — the engine raised; the exception
   crosses the process boundary *as data* (a :class:`WorkerFailure`
   rendering), never as a live exception.
@@ -33,10 +34,11 @@ pipe) asks the worker to exit.  Worker → parent, per task, in order:
   the worker tried.
 
 With ``collect_stats`` set, the worker wraps the task in an obs recording
-whose run record — span tree with wall-clock anchors, one ``engine.<name>``
-span per attempt, the worker's ``pid`` in ``meta`` — rides back on the
-final message.  The parent merges these per-process records into one
-Chrome trace timeline (:func:`repro.obs.traceout.batch_trace`).
+whose run record — span tree with wall-clock anchors, including the
+``engine.<name>`` span ``plan_and_run`` opens per attempt, the worker's
+``pid`` in ``meta`` — rides back on the final message.  The parent
+merges these per-process records into one Chrome trace timeline
+(:func:`repro.obs.traceout.batch_trace`).
 """
 
 from __future__ import annotations
@@ -177,21 +179,14 @@ def _solve(conn, problem: Problem, exclude: frozenset[str],
     if collect_stats:
         recording = obs.record("batch.worker").start()
         recording.note("pid", os.getpid())
-    spans: dict = {}
     reported: list[BaseException] = []
     winner = None
 
     def progress(event: str, engine: str, detail) -> None:
         nonlocal winner
         if event == "trying":
-            spans[engine] = obs.span(f"engine.{engine}").start()
             conn.send(("trying", engine))
-            return
-        span = spans.pop(engine, None)
-        if span is not None:
-            span.annotate(status=event)
-            span.finish()
-        if event == "declined":
+        elif event == "declined":
             conn.send(("declined", engine, detail))
         elif event == "failed":
             reported.append(detail)
@@ -219,7 +214,6 @@ def _solve(conn, problem: Problem, exclude: frozenset[str],
     stats = None
     if recording is not None:
         if result is not None:
-            recording.note("engine", winner)
             recording.note("verdict", result.verdict.value)
         stats = recording.stop().to_run_record().to_dict()
     if result is None:

@@ -21,6 +21,7 @@ import pytest
 from repro.analysis import contains, satisfiable
 from repro.analysis.automata_engine import AutomataEngine
 from repro.analysis.problems import Problem, ProblemKind, Verdict
+from repro.analysis.registry import EngineDeclined
 from repro.automata import build_twoata, decide_emptiness
 from repro.semantics import TreeContext, compile_plan
 from repro.xpath import parse_node
@@ -144,7 +145,8 @@ class TestAutomataEngine:
         engine_small.max_states = 1
         problem = Problem(ProblemKind.SATISFIABILITY, phi=parse_node("p"))
         assert engine.solve(problem) is not None
-        assert engine_small.solve(problem) is None
+        with pytest.raises(EngineDeclined, match="max_states"):
+            engine_small.solve(problem)
 
 
 class TestDifferentialAgainstBounded:
@@ -164,8 +166,9 @@ class TestDifferentialAgainstBounded:
             phi = random_node(rng, 2, STAR_EQ)
             problem = Problem(ProblemKind.SATISFIABILITY, phi=phi)
             assert engine.admits(problem)
-            result = engine.solve(problem)
-            if result is None:  # guards tripped: dispatch falls to bounded
+            try:
+                result = engine.solve(problem)
+            except EngineDeclined:  # guards tripped: dispatch falls to bounded
                 continue
             decided += 1
             assert result.conclusive
@@ -190,8 +193,9 @@ class TestDifferentialAgainstBounded:
             problem = Problem(ProblemKind.CONTAINMENT,
                               alpha=alpha, beta=beta)
             assert engine.admits(problem)
-            result = engine.solve(problem)
-            if result is None:
+            try:
+                result = engine.solve(problem)
+            except EngineDeclined:
                 continue
             decided += 1
             assert result.conclusive

@@ -1,7 +1,5 @@
 """Tests for the bounded-search engines and the top-level analysis API."""
 
-import random
-
 import pytest
 
 from repro.analysis import (
@@ -11,7 +9,6 @@ from repro.analysis import (
     equivalent,
     node_satisfiable,
     path_satisfiable,
-    random_witness_search,
     relevant_alphabet,
     satisfiable,
 )
@@ -156,20 +153,3 @@ class TestDispatcher:
         assert result.contained and result.conclusive
         result2 = equivalent(parse_path("down"), parse_path("down*"))
         assert not result2.contained
-
-
-class TestRandomSearch:
-    def test_finds_deep_witnesses(self):
-        # Needs a chain of 5 p's — beyond the exhaustive engine's default.
-        phi = parse_node("p and <down[p and <down[p and <down[p]>]>]>")
-        rng = random.Random(123)
-        result = random_witness_search(phi, rng, attempts=3000, max_nodes=10)
-        assert result
-        assert result.witness_node in evaluate_nodes(result.witness, phi)
-
-    def test_reports_failure(self):
-        phi = parse_node("p and not p")
-        rng = random.Random(124)
-        result = random_witness_search(phi, rng, attempts=50)
-        assert not result
-        assert result.trees_checked == 50

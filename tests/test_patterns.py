@@ -469,7 +469,7 @@ class TestDispatchIntegration:
             contains(parse_path("down[p]/down*"), parse_path("down/down*"),
                      method="patterns")
         counters = recording.counters
-        assert counters.get("patterns.admitted") == 1
+        assert counters.get("dispatch.patterns") == 1
         assert counters.get("patterns.embeddings", 0) >= 1
         assert counters.get("patterns.table_cells", 0) >= 1
 

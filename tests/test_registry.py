@@ -23,7 +23,7 @@ class TestDefaultRegistry:
     def test_builtin_engines_are_registered(self):
         names = default_registry().names()
         for expected in ("patterns", "expspace", "automata", "bidirectional",
-                         "bounded", "random"):
+                         "bounded"):
             assert expected in names
 
     def test_candidates_ordered_by_cost(self):
@@ -40,7 +40,7 @@ class TestDefaultRegistry:
         assert decision["chosen"] == "patterns"
         assert [c["name"] for c in decision["candidates"]] == [
             "patterns", "expspace", "automata", "bidirectional", "split",
-            "bounded", "random"]
+            "bounded"]
 
     def test_auto_skips_patterns_outside_its_fragment(self):
         # Negation is outside the tree-pattern fragment but inside the
@@ -84,11 +84,6 @@ class TestForcedEngines:
         assert result.stats["meta"]["engine"] == "bounded"
         assert result.verdict is Verdict.SATISFIABLE
 
-    def test_forcing_random_engine(self):
-        result = satisfiable(parse_node("p"), method="random")
-        assert result.verdict is Verdict.SATISFIABLE
-        assert not result.conclusive or result.witness is not None
-
 
 class TestRegistryMechanics:
     def test_get_unknown_engine_raises(self):
@@ -108,7 +103,7 @@ class TestRegistryMechanics:
 
             def solve(self, problem, session=None):
                 calls.append("declines")
-                return None
+                raise EngineDeclined("guard tripped")
 
         class Answers(Engine):
             name = "answers"
@@ -260,32 +255,6 @@ class TestDeclineVsErrorDistinction:
         assert recording.counters["dispatch.declined.loud-decline"] == 1
         assert "dispatch.error.loud-decline" not in recording.counters
 
-    def test_solve_returning_none_counts_as_decline_not_error(self):
-        from repro import obs
-
-        class Declines(Engine):
-            name = "quiet-decline"
-            conclusive = True
-            cost_hint = 1
-
-            def admits(self, problem):
-                return True
-
-            def solve(self, problem, session=None):
-                return None
-
-        registry = EngineRegistry()
-        registry.register(Declines())
-        registry.register(_Answers())
-        with obs.record("run") as recording:
-            registry.plan_and_run(self._problem())
-        by_name = {entry["name"]: entry
-                   for entry in recording.meta["engine_decision"]["candidates"]}
-        assert by_name["quiet-decline"].get("declined") is True
-        assert "error" not in by_name["quiet-decline"]
-        assert recording.counters["dispatch.declined.quiet-decline"] == 1
-        assert "dispatch.error.quiet-decline" not in recording.counters
-
     def test_forced_engine_declined_reraises_without_error_entry(self):
         from repro import obs
         registry = EngineRegistry()
@@ -376,8 +345,8 @@ class TestPlanCacheCounters:
 
 class _Scripted(Engine):
     """A stub engine: ``outcome`` is what ``solve`` does — ``"result"``,
-    ``"decline"`` (returns ``None``) or ``"raise"``; ``admits`` answers
-    ``admitted`` and counts its calls."""
+    ``"decline"`` (raises :class:`EngineDeclined`) or ``"raise"``;
+    ``admits`` answers ``admitted`` and counts its calls."""
 
     def __init__(self, name, cost_hint, outcome="result", admitted=True):
         self.name = name
@@ -394,7 +363,7 @@ class _Scripted(Engine):
         from repro.analysis.problems import SatResult
 
         if self.outcome == "decline":
-            return None
+            raise EngineDeclined(f"{self.name} guard")
         if self.outcome == "raise":
             raise RuntimeError(f"{self.name} bug")
         return SatResult(Verdict.UNSATISFIABLE)
@@ -494,3 +463,124 @@ class TestDispatchContract:
             expected = [(engine.name, None) for engine in engines]
         assert [(entry["name"], entry.get("forced"))
                 for entry in decision["candidates"]] == expected
+
+
+class TestRunRecordNamesTheChosenEngine:
+    """Only the registry notes ``engine`` and counts ``dispatch.<name>``, so
+    a run record names one engine, however the problem was decided."""
+
+    def test_engine_is_the_chosen_one_and_counted_once(self):
+        runs = [
+            ("bidirectional", equivalent(parse_path("down[p]"),
+                                         parse_path("down[p][q]"), stats=True)),
+            ("split", contains(parse_path("down[a]"),
+                               parse_path("down except down[b]"), stats=True)),
+            # automata declines on its state guard, bounded answers.
+            ("bounded", satisfiable(
+                parse_node("a or <up[b]/up[a]/up[b]/up[a]>"), stats=True)),
+        ]
+        for expected, result in runs:
+            meta, counters = result.stats["meta"], result.stats["counters"]
+            chosen = meta["engine_decision"]["chosen"]
+            assert chosen == expected
+            assert meta["engine"] == chosen, meta
+            assert counters.get(f"dispatch.{chosen}") == 1, counters
+
+
+class _Lies(Engine):
+    """Answers every problem with one fixed ``SATISFIABLE`` result."""
+
+    name = "liar"
+    cost_hint = 1
+
+    def __init__(self, answer):
+        self.answer = answer
+
+    def admits(self, problem):
+        return True
+
+    def solve(self, problem, session=None):
+        return self.answer
+
+
+def _lie(which):
+    """``(problem, wrong answer, the witness check's message)``."""
+    from repro.analysis.problems import ContainmentResult, SatResult
+    from repro.edtd import DTD
+    from repro.trees import XMLTree
+
+    if which == "node-outside-phi":
+        return (Problem(ProblemKind.SATISFIABILITY, phi=parse_node("p")),
+                SatResult(Verdict.SATISFIABLE, XMLTree(["q"], [None]), 0),
+                "does not satisfy the formula")
+    if which == "pair-inside-beta":
+        return (Problem(ProblemKind.CONTAINMENT, alpha=parse_path("down"),
+                        beta=parse_path("down[p]")),
+                ContainmentResult(Verdict.SATISFIABLE,
+                                  XMLTree(["q", "p"], [None, 0]), (0, 1)),
+                "does not refute the containment")
+    if which == "pair-on-both-sides":
+        return (Problem(ProblemKind.EQUIVALENCE, alpha=parse_path("down"),
+                        beta=parse_path("down[p]")),
+                ContainmentResult(Verdict.SATISFIABLE,
+                                  XMLTree(["q", "p"], [None, 0]), (0, 1)),
+                "does not separate the two sides")
+    # A b-node satisfies φ = b, but the schema wants an a-root.
+    schema = DTD({"a": "b*", "b": "eps"}, root="a")
+    return (Problem(ProblemKind.SATISFIABILITY, phi=parse_node("b"),
+                    edtd=schema),
+            SatResult(Verdict.SATISFIABLE, XMLTree(["b"], [None]), 0),
+            "does not conform to the EDTD")
+
+
+_LIES = ["node-outside-phi", "pair-inside-beta", "pair-on-both-sides",
+         "tree-outside-edtd"]
+
+
+def _liar_first(answer):
+    """The liar, then the engines that decide its problems honestly."""
+    from repro.analysis.engines import BoundedEngine
+    from repro.analysis.registry import BidirectionalEngine
+
+    return _registry(_Lies(answer), BoundedEngine(), BidirectionalEngine())
+
+
+class TestWitnessCheck:
+    """The dispatch checks every ``SATISFIABLE`` answer against the problem
+    it dispatched; a wrong one is an engine error."""
+
+    @pytest.mark.parametrize("which", _LIES)
+    def test_wrong_witness_is_an_error_and_the_next_engine_answers(self, which):
+        from repro import obs
+
+        problem, answer, message = _lie(which)
+        with obs.record("run") as recording:
+            result = _liar_first(answer).plan_and_run(problem)
+        decision = recording.meta["engine_decision"]
+        assert decision["chosen"] == (
+            "bidirectional" if problem.kind is ProblemKind.EQUIVALENCE
+            else "bounded")
+        liar = {entry["name"]: entry for entry in decision["candidates"]}["liar"]
+        assert message in liar["error"]
+        assert "declined" not in liar
+        assert recording.counters["dispatch.error.liar"] == 1
+        assert "dispatch.liar" not in recording.counters
+        assert result.verdict is Verdict.SATISFIABLE and result != answer
+
+    # An equivalence is never forced: the preference goes to its directions.
+    @pytest.mark.parametrize("which", [lie for lie in _LIES
+                                       if lie != "pair-on-both-sides"])
+    def test_forced_wrong_witness_raises(self, which):
+        problem, answer, message = _lie(which)
+        with pytest.raises(RuntimeError, match=message):
+            _liar_first(answer).plan_and_run(problem.forced("liar"))
+
+    def test_runtime_decline_records_its_reason(self):
+        result = satisfiable(parse_node("a or <up[b]/up[a]/up[b]/up[a]>"),
+                             stats=True)
+        by_name = {entry["name"]: entry for entry
+                   in result.stats["meta"]["engine_decision"]["candidates"]}
+        automata = by_name["automata"]
+        assert automata["declined"] is True
+        assert "max_states" in automata["reason"]
+        assert "error" not in automata

@@ -95,14 +95,15 @@ class TestCounterexamples:
     @pytest.mark.parametrize("lie, message", [
         # A ⟨α ∩ γ⟩ "witness" without an α ∩ γ target at its node.
         (ProblemKind.SATISFIABILITY, "no α ∩ γ target"),
-        # A "counterexample" to α ⊑ β that is in β after all.
-        (ProblemKind.CONTAINMENT, "does not refute"),
+        # A "counterexample" to α ⊑ β that is in β after all: the
+        # dispatch's witness check refuses it.
+        (ProblemKind.CONTAINMENT, "does not refute the containment"),
     ])
     def test_a_wrong_counterexample_is_caught(self, monkeypatch, lie,
                                               message):
         # A sub-problem answer whose witness does not refute the original
         # containment must raise, never become a verdict.
-        from repro.analysis import registry
+        from repro.analysis import default_registry, registry
         from repro.analysis.problems import ContainmentResult
         from repro.trees import XMLTree
 
@@ -120,9 +121,10 @@ class TestCounterexamples:
         monkeypatch.setattr(registry, "plan_and_run", lying)
         problem = Problem(ProblemKind.CONTAINMENT,
                           alpha=parse_path("down[a]"),
-                          beta=parse_path("down except down[b]")).canonical()
+                          beta=parse_path("down except down[b]"),
+                          engine="split")
         with pytest.raises(RuntimeError, match=message):
-            SplitEngine().solve(problem)
+            default_registry().plan_and_run(problem)
 
 
 class TestAdmission:
@@ -187,7 +189,7 @@ class TestAutomataIntersect:
 
     def test_witness_is_checked_against_the_formula_before_the_rewrite(
             self, monkeypatch):
-        from repro.analysis import automata_engine
+        from repro.analysis import automata_engine, default_registry
         from repro.xpath.rewrite import intersect_tests_via_eq
 
         phi = parse_node("<up[a] intersect up[b]>")
@@ -199,9 +201,10 @@ class TestAutomataIntersect:
         monkeypatch.setattr(automata_engine, "intersect_tests_via_eq",
                             lambda expr: weaker if expr == phi
                             else intersect_tests_via_eq(expr))
-        with pytest.raises(RuntimeError, match="does not satisfy"):
-            AutomataEngine().solve(Problem(ProblemKind.SATISFIABILITY,
-                                           phi=phi))
+        with pytest.raises(RuntimeError,
+                           match="does not satisfy the formula"):
+            default_registry().plan_and_run(Problem(
+                ProblemKind.SATISFIABILITY, phi=phi, engine="automata"))
 
 
 class TestDifferential:
