@@ -60,6 +60,14 @@ The cache is two tiers deep:
   same shard without a global lock.  Files directly in the cache
   directory are not entries: lookups and GC never touch them.
 
+A probe has a memory half (:meth:`VerdictCache.get_mem`) and a disk half
+(:meth:`VerdictCache.get_disk`); :meth:`VerdictCache.get` runs one after
+the other.  The halves are public so that a caller can answer memory
+hits on one thread and leave the file read to another: the executor
+answers memory hits on the submitting thread and probes the disk on a
+coordinator thread.  Either way one probe counts exactly one of
+``mem_hit``, ``disk_hit`` and ``miss``.
+
 Probes and stores bump both plain attributes (``mem_hits``,
 ``disk_hits``, ``misses``, ``stores``, ``evicted``, ``corrupt``) and the
 ``cache.{mem_hit,disk_hit,miss,evicted,corrupt}`` obs counters (no-ops
@@ -368,15 +376,6 @@ class VerdictCache:
 
     # ------------------------------------------------------------- probes
 
-    def _memory_get(self, key: str) -> dict | None:
-        if self.memory_entries == 0:
-            return None
-        with self._lock:
-            data = self._memory.get(key)
-            if data is not None:
-                self._memory.move_to_end(key)
-            return data
-
     def _memory_put(self, key: str, data: dict) -> None:
         if self.memory_entries == 0:
             return
@@ -417,21 +416,37 @@ class VerdictCache:
         return result
 
     def get(self, problem: Problem, key: str | None = None) -> Result | None:
-        """The cached result of ``problem``, or ``None`` on a miss.
-        ``key`` is its :func:`problem_fingerprint`, when the caller has it
-        already."""
+        """The cached result of ``problem``, or ``None`` on a miss: the
+        memory tier first, then the disk tier.  ``key`` is its
+        :func:`problem_fingerprint`, when the caller has it already."""
         if key is None:
             key = problem_fingerprint(problem)
-        data = self._memory_get(key)
-        if data is not None:
-            result = self._served(data, key)
-            if result is not None:
-                self.mem_hits += 1
-                obs.count("cache.mem_hit")
-                return result
-            self.misses += 1
-            obs.count("cache.miss")
+        result = self.get_mem(key)
+        return result if result is not None else self.get_disk(key)
+
+    def get_mem(self, key: str) -> Result | None:
+        """The memory tier's half of :meth:`get`: the result stored under
+        fingerprint ``key``, or ``None``.  Never touches a file, and
+        counts only a hit (``mem_hit``); after ``None`` the caller probes
+        :meth:`get_disk`, which counts the request's ``disk_hit`` or
+        ``miss``."""
+        if self.memory_entries == 0:
             return None
+        with self._lock:
+            data = self._memory.get(key)
+            if data is None:
+                return None
+            self._memory.move_to_end(key)
+        result = self._served(data, key)
+        if result is not None:
+            self.mem_hits += 1
+            obs.count("cache.mem_hit")
+        return result
+
+    def get_disk(self, key: str) -> Result | None:
+        """The disk tier's half of :meth:`get`: the entry file of ``key``,
+        promoted into the memory tier on a hit.  Counts ``disk_hit`` or
+        ``miss``."""
         try:
             with open(self._path(key), encoding="utf-8") as handle:
                 text = handle.read()

@@ -10,8 +10,15 @@ used by the ``repro serve`` daemon) or as whole batches
 run in the worker processes; threads would serialize on the GIL.
 
 1. **Cache.** With a :class:`~repro.parallel.cache.VerdictCache` attached,
-   a hit returns the stored result without touching a worker (and, warm,
-   without touching disk — see the cache's memory tier).
+   :meth:`ExecutorService.submit` canonicalizes and fingerprints the
+   problem on the submitting thread and probes the cache's memory tier
+   there.  A memory hit comes back as an already-completed future: it
+   takes no thread hop and never waits behind the solves that hold the
+   coordinator threads.  Only a memory miss is queued; its coordinator
+   thread probes the disk tier (so no file is read on the submitting
+   thread, which in the daemon is the event loop), and a disk hit returns
+   the stored result without touching a worker.  Without a cache the
+   coordinator thread canonicalizes.
 2. **Ladder.**  The coordinator checks a worker out of the pool and sends
    it the problem; the worker walks the admitted engines cheapest-first
    through :meth:`EngineRegistry.plan_and_run`, falling through on runtime
@@ -123,12 +130,16 @@ class BatchOutcome:
     result: Result | None = None
     engine: str | None = None
     cache_hit: bool = False
+    #: Time queued for a coordinator thread (0 for a memory-tier hit,
+    #: which is answered by :meth:`ExecutorService.submit` itself).
     queue_wait_s: float = 0.0
     worker_time_s: float = 0.0
-    #: Wall-clock cost of the verdict-cache probe (hit or miss).
+    #: Wall-clock cost of the last verdict-cache tier probed: the memory
+    #: tier for a memory hit, else the disk tier (hit or miss).
     cache_probe_s: float = 0.0
     #: One dict per engine attempt: ``{"engine", "status"}`` with status in
-    #: ``result | declined | failed | timeout | died``.
+    #: ``result | declined | failed | timeout | died``; a declined attempt
+    #: also carries the decline's ``reason``.
     attempts: list[dict] = field(default_factory=list)
     failures: list[WorkerFailure] = field(default_factory=list)
     #: Set when no engine produced a result.
@@ -141,8 +152,10 @@ class BatchOutcome:
     #: walks, the winner) — the trace writer renders one process lane per
     #: worker pid (``collect_stats=True`` only).
     worker_records: list[dict] = field(default_factory=list)
-    #: The coordinator thread's own recording of this problem's lifecycle:
-    #: cache probe and worker attempts (``collect_stats=True``).
+    #: The coordinator's own recording of this problem's lifecycle: cache
+    #: probe and worker attempts, recorded on the coordinator thread — or,
+    #: for a memory-tier hit, the probe on the submitting thread
+    #: (``collect_stats=True``).
     coord_stats: dict | None = None
 
 
@@ -366,11 +379,17 @@ class ExecutorService:
 
     def submit(self, problem: Problem, *,
                timeout: float | None = None) -> "Future[BatchOutcome]":
-        """Enqueue one problem; returns a future resolving to its
+        """Decide one problem; returns a future resolving to its
         :class:`BatchOutcome`.  Safe to call from concurrent threads; the
         per-engine ``timeout`` (``None``: the service's) applies to this
         submission only.  The future never raises from a solver failure —
-        errors are data on the outcome — only from a closed service."""
+        errors are data on the outcome — only from a closed service.
+
+        With a cache attached, the problem is canonicalized and
+        fingerprinted here, on the calling thread, and a memory-tier hit
+        returns a future that is already done.  Everything that may read
+        or write a file — the disk tier, the solve, the store — runs on a
+        coordinator thread."""
         with self._state_lock:
             if self._closed:
                 raise RuntimeError("ExecutorService is closed")
@@ -378,10 +397,23 @@ class ExecutorService:
             index = self._next_index
             self._next_index += 1
             self.submitted += 1
+        key = None
+        if self.cache is not None:
+            # One canonical form and one fingerprint per request: cache
+            # keys, worker dispatch and engine admission all see the
+            # rewrite-pipeline canonical form, so syntactic variants of
+            # one instance share a cache entry.
+            problem = problem.canonical()
+            key = problem_fingerprint(problem)
+            hit = self._recorded(self._memory_hit, index, problem, key)
+            if hit is not None:
+                future: Future[BatchOutcome] = Future()
+                future.set_result(hit)
+                self._on_done(future)
+                return future
         per_attempt = self.timeout if timeout is None else timeout
-        submitted_at = time.perf_counter()
-        future = pool.submit(self._run_one, index, problem, submitted_at,
-                             per_attempt)
+        future = pool.submit(self._recorded, self._solve_one, index, problem,
+                             key, time.perf_counter(), per_attempt)
         future.add_done_callback(self._on_done)
         return future
 
@@ -485,50 +517,63 @@ class ExecutorService:
 
     # ---------------------------------------------------- one problem slot
 
-    def _run_one(self, index: int, problem: Problem, submitted: float,
-                 timeout: float | None) -> BatchOutcome:
+    def _recorded(self, step, index: int, *args) -> BatchOutcome | None:
+        """``step(index, *args)``, which returns problem ``index``'s
+        outcome or ``None``.  With ``collect_stats`` the step runs in the
+        problem's own thread-local recording, kept as the outcome's
+        ``coord_stats``; the trace writer renders these as per-problem
+        lanes under the coordinator process."""
         if not self.collect_stats:
-            return self._solve_one(index, problem, submitted, timeout)
-        # Each coordinator thread records its problem's lifecycle — cache
-        # probe and worker attempts — in its own thread-local
-        # recording; the trace writer renders these as per-problem lanes
-        # under the coordinator process.
+            return step(index, *args)
         with obs.record(f"problem[{index}]") as recording:
             recording.note("index", index)
-            outcome = self._solve_one(index, problem, submitted, timeout)
+            outcome = step(index, *args)
+            if outcome is None:
+                return None
             recording.note("engine", outcome.engine)
             recording.note("cache", "hit" if outcome.cache_hit else "miss")
         outcome.coord_stats = recording.to_run_record().to_dict()
         return outcome
 
-    def _solve_one(self, index: int, problem: Problem, submitted: float,
-                   timeout: float | None) -> BatchOutcome:
-        # Canonicalize once, before the cache probe: cache keys, worker
-        # dispatch and engine admission all see the rewrite-pipeline
-        # canonical form, so syntactic variants of one instance share a
-        # cache entry (and the workers solve the smaller expressions).
-        problem = problem.canonical()
+    def _memory_hit(self, index: int, problem: Problem,
+                    key: str) -> BatchOutcome | None:
+        """The outcome of a memory-tier hit on the submitting thread, or
+        ``None`` on a miss."""
+        # The probe span belongs in the problem's own recording: a
+        # recording the caller has open on this thread (a batch's) keeps
+        # batch-level figures, not one span per problem.
+        probe_span = obs.span("cache.probe", tier="memory") \
+            if self.collect_stats else obs.NULL_SPAN
+        with probe_span:
+            probe_started = time.perf_counter()
+            cached = self.cache.get_mem(key)
+            probe_s = time.perf_counter() - probe_started
+            probe_span.annotate(hit=cached is not None)
+        if cached is None:
+            return None
+        outcome = BatchOutcome(index=index, problem=problem,
+                               cache_probe_s=probe_s)
+        return self._cache_hit(outcome, cached)
+
+    def _solve_one(self, index: int, problem: Problem, key: str | None,
+                   queued: float, timeout: float | None) -> BatchOutcome:
+        """A coordinator thread's part: the disk tier, then on a miss the
+        solve and the store.  ``key`` is the fingerprint :meth:`submit`
+        computed (``None`` without a cache)."""
+        if self.cache is None:
+            # Canonicalize once: worker dispatch and engine admission see
+            # the rewrite-pipeline canonical form.
+            problem = problem.canonical()
         outcome = BatchOutcome(index=index, problem=problem)
-        outcome.queue_wait_s = time.perf_counter() - submitted
-        key = None
+        outcome.queue_wait_s = time.perf_counter() - queued
         if self.cache is not None:
-            with obs.span("cache.probe") as probe_span:
+            with obs.span("cache.probe", tier="disk") as probe_span:
                 probe_started = time.perf_counter()
-                # One fingerprint serves the probe and the store below.
-                key = problem_fingerprint(problem)
-                cached = self.cache.get(problem, key)
+                cached = self.cache.get_disk(key)
                 outcome.cache_probe_s = time.perf_counter() - probe_started
                 probe_span.annotate(hit=cached is not None)
             if cached is not None:
-                hit_record = self._cache_hit_record(outcome)
-                # Serve provenance-annotated stats, never a stale record
-                # from whichever worker originally computed the verdict.
-                outcome.result = cached.with_stats(hit_record) \
-                    if self.collect_stats else cached
-                outcome.engine = "cache"
-                outcome.cache_hit = True
-                outcome.stats = hit_record
-                return outcome
+                return self._cache_hit(outcome, cached)
         solve_started = time.perf_counter()
         try:
             # Warm the schema session in the parent before dispatching:
@@ -557,6 +602,17 @@ class ExecutorService:
             # A schema the compiler chokes on is the engines' problem to
             # report (as a structured failure), not the coordinator's.
             pass
+
+    def _cache_hit(self, outcome: BatchOutcome, cached: Result) -> BatchOutcome:
+        outcome.engine = "cache"
+        outcome.cache_hit = True
+        if self.collect_stats:
+            # Serve provenance-annotated stats, never a stale record from
+            # whichever worker originally computed the verdict.
+            outcome.stats = self._cache_hit_record(outcome)
+            cached = cached.with_stats(outcome.stats)
+        outcome.result = cached
+        return outcome
 
     @staticmethod
     def _cache_hit_record(outcome: BatchOutcome) -> dict:
@@ -655,13 +711,14 @@ class ExecutorService:
                     if timeout is not None:
                         deadline = time.perf_counter() + timeout
                 elif kind in ("declined", "failed"):
+                    if current is None or current["engine"] != message[1]:
+                        current = {"engine": message[1]}
+                        outcome.attempts.append(current)
+                    current["status"] = kind
                     if kind == "failed":
                         outcome.failures.append(WorkerFailure(**message[2]))
-                    if current is not None and current["engine"] == message[1]:
-                        current["status"] = kind
                     else:
-                        outcome.attempts.append(
-                            {"engine": message[1], "status": kind})
+                        current["reason"] = message[2]
                     current = None
                 elif kind == "retiring":
                     worker.retiring = True

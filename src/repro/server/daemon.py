@@ -19,12 +19,19 @@ over two stdlib-only asyncio transports:
   on the executor (pipelining).  ``repro batch --server`` speaks this.
 
 Request lifecycle: validate + admission-control → parse through the
-shared protocol (the expressions then flow through the same
-pass-pipeline canonicalization every local caller gets, inside the
-executor) → cache probe and solve on the resident executor.  The asyncio
-loop never blocks on a solve: submissions return
-``concurrent.futures.Future``\\ s that are awaited via
-:func:`asyncio.wrap_future`.
+shared protocol → :meth:`ExecutorService.submit
+<repro.parallel.runner.ExecutorService.submit>`, still on the event
+loop.  ``submit`` canonicalizes and fingerprints the problem (the same
+pass-pipeline canonical form every local caller gets) and answers a
+memory-tier cache hit on the spot, with a future that is already done,
+so a hit never waits behind the solves that hold the coordinator
+threads.  Only a memory miss is queued: its coordinator thread probes
+the disk tier and, on a miss, solves on a resident worker and stores
+the verdict, so the loop never reads or writes a cache file.  The
+asyncio loop never blocks on a solve: the submission's
+``concurrent.futures.Future`` is awaited via :func:`asyncio.wrap_future`
+(a hit's is done already).  The ``cache_hits`` counter in ``/stats``
+counts hits on either tier.
 
 Admission control rejects (HTTP 400 / an ``error`` answer record)
 requests that ask for an unknown or un-admitted engine, a per-request

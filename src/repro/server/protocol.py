@@ -11,7 +11,11 @@ default — the input line number for ``repro batch``, a server-side
 sequence number for the daemon — when absent), ``max_nodes``, ``engine``,
 and — server only, checked by admission control — ``timeout`` and
 ``passes``.  One *answer record* carries the verdict plus the outcome
-metadata (engine, cache provenance, timing, failures).
+metadata: the deciding ``engine``, ``cache`` provenance and
+``elapsed_s``, and — only when the solve had any — ``engine_failures``,
+``declined`` (each runtime decline before the deciding engine, as
+``{"engine", "reason"}``) and ``timeouts``.  Those three describe a
+solve, so a cache hit carries none of them.
 
 :func:`parse_problem_record` and :func:`outcome_record` are the single
 implementation of both directions: the batch CLI, the daemon's HTTP and
@@ -105,6 +109,11 @@ def outcome_record(record_id, kind_name: str, outcome) -> dict:
              "message": failure.message}
             for failure in outcome.failures
         ]
+    declined = [{"engine": attempt["engine"], "reason": attempt["reason"]}
+                for attempt in outcome.attempts
+                if attempt["status"] == "declined"]
+    if declined:
+        record["declined"] = declined
     timeouts = [attempt["engine"] for attempt in outcome.attempts
                 if attempt["status"] == "timeout"]
     if timeouts:

@@ -385,6 +385,26 @@ class TestBatchCommand:
             assert "engine_failures" not in record
         assert "3 bad input lines" in captured.err
 
+    def test_batch_records_list_runtime_declines(self, capsys, tmp_path):
+        """An answer record lists the runtime declines that came before
+        the deciding engine; a cache hit ran no solve and lists none."""
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(json.dumps(
+            {"id": "d", "kind": "satisfiable",
+             "expr": "a or <up[b]/up[a]/up[b]/up[a]>"}) + "\n")
+        argv = ["batch", str(corpus), "--workers", "1",
+                "--cache-dir", str(tmp_path / "cache")]
+        assert main(argv) == 0
+        solved = self._records(capsys.readouterr().out)["d"]
+        assert (solved["engine"], solved["cache"]) == ("bounded", "miss")
+        [declined] = solved["declined"]
+        assert declined["engine"] == "automata"
+        assert "max_states" in declined["reason"]
+        assert main(argv) == 0
+        hit = self._records(capsys.readouterr().out)["d"]
+        assert hit["cache"] == "hit"
+        assert "declined" not in hit
+
     def test_batch_engine_flag_has_single_problem_semantics(self, capsys,
                                                             tmp_path):
         """``batch --engine`` forces the same engine a single-problem

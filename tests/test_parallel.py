@@ -15,6 +15,7 @@ import multiprocessing
 import os
 import random
 import signal
+import threading
 import time
 
 import pytest
@@ -568,6 +569,64 @@ class TestWorkerPool:
         finally:
             service.close()
 
+    def test_disk_tier_is_probed_on_a_coordinator_thread(self, tmp_path,
+                                                         monkeypatch):
+        """An entry only on disk is read on a coordinator thread and
+        counts one ``disk_hit``; resubmitted, it is a memory hit answered
+        by ``submit`` itself.  Both count as submitted and completed."""
+        problem = self._problem(2)
+        VerdictCache(tmp_path).put(problem.canonical(),
+                                   self._sequential(problem))
+        cache = VerdictCache(tmp_path)  # cold memory tier
+        readers = []
+        get_disk = cache.get_disk
+
+        def spied(key):
+            readers.append(threading.current_thread().name)
+            return get_disk(key)
+
+        monkeypatch.setattr(cache, "get_disk", spied)
+        service = ExecutorService(workers=1, cache=cache)
+        try:
+            first = service.submit(problem).result(timeout=60)
+            assert first.cache_hit and first.engine == "cache"
+            [reader] = readers
+            assert reader.startswith("exec")
+            assert reader != threading.current_thread().name
+            assert (cache.mem_hits, cache.disk_hits, cache.misses) == (0, 1, 0)
+            resubmitted = service.submit(problem)
+            assert resubmitted.done()
+            assert resubmitted.result().cache_hit
+            assert readers == [reader]
+            assert (cache.mem_hits, cache.disk_hits, cache.misses) == (1, 1, 0)
+            stats = service.stats()
+            assert (stats["submitted"], stats["completed"],
+                    stats["inflight"]) == (2, 2, 0)
+        finally:
+            service.close()
+
+    def test_memory_hit_keeps_its_records(self, tmp_path):
+        """With ``collect_stats``, a hit answered by ``submit`` carries the
+        synthesized ``cache.hit`` record and a recording of its probe."""
+        from repro.obs import RunRecord
+
+        problem = self._problem(1)
+        service = ExecutorService(workers=1, cache=VerdictCache(tmp_path),
+                                  collect_stats=True)
+        try:
+            service.submit(problem).result(timeout=60)
+            hit = service.submit(problem).result(timeout=0)
+            assert hit.cache_hit
+            assert hit.stats["name"] == "cache.hit"
+            assert hit.result.stats == hit.stats
+            probes = [span.get("attrs") for span
+                      in RunRecord.from_dict(hit.coord_stats).iter_spans()
+                      if span["name"] == "cache.probe"]
+            assert probes == [{"tier": "memory", "hit": True}]
+            assert hit.coord_stats["counters"]["cache.mem_hit"] == 1
+        finally:
+            service.close()
+
     def test_batch_runner_reaps_its_pool(self):
         problems = [self._problem(depth) for depth in range(1, 4)]
         want = _canon([self._sequential(problem) for problem in problems])
@@ -612,3 +671,23 @@ class TestBatchAPI:
         assert counters["batch.cache.miss"] == 1
         assert counters["batch.cache.hit"] == 1
         assert "batch.wall_s" in recording.gauges
+
+    def test_inline_hits_leave_no_spans_in_the_batch_recording(self,
+                                                               tmp_path):
+        """Memory hits are probed on the thread that runs the batch, but
+        without ``collect_stats`` its recording keeps batch-level spans
+        only, as when every probe ran on a coordinator thread."""
+        from repro import obs
+        from repro.obs import RunRecord
+
+        problems = [Problem(ProblemKind.SATISFIABILITY, phi=parse_node(expr))
+                    for expr in ("p", "q", "p and q")]
+        with ExecutorService(workers=1, cache=tmp_path) as service:
+            service.run(problems)
+            with obs.record("test-batch") as recording:
+                report = service.run(problems)
+        assert report.cache_hits == len(problems)
+        names = {span["name"] for span
+                 in RunRecord.from_dict(recording.to_run_record().to_dict())
+                 .iter_spans()}
+        assert names == {"test-batch", "batch.run", "batch.precompile"}

@@ -24,7 +24,7 @@ from repro.analysis import contains, default_registry
 from repro.analysis.problems import Problem, ProblemKind
 from repro.analysis.registry import Engine
 from repro.analysis.session import registry_stats, reset_sessions
-from repro.parallel import ExecutorService
+from repro.parallel import ExecutorService, VerdictCache
 from repro.server import (
     HttpClient,
     ServerClient,
@@ -135,6 +135,30 @@ class TestExecutorService:
             assert elapsed < 30
             assert any(attempt["status"] == "timeout"
                        for attempt in outcome.attempts)
+        finally:
+            service.close()
+
+    def test_memory_hit_is_answered_by_submit(self, tmp_path,
+                                              sleeper_engine):
+        """A memory-tier hit never waits for a coordinator thread: with
+        the only one held by a solve, ``submit`` returns the hit's future
+        already done."""
+        cached = _contains(engine="patterns")
+        service = ExecutorService(workers=1, cache=VerdictCache(tmp_path))
+        try:
+            assert not service.submit(cached).result(timeout=60).cache_hit
+            busy = service.submit(_sat("p", engine=sleeper_engine),
+                                  timeout=3)
+            started = time.perf_counter()
+            future = service.submit(cached)
+            elapsed = time.perf_counter() - started
+            assert future.done()
+            assert elapsed < 1
+            outcome = future.result()
+            assert outcome.cache_hit and outcome.engine == "cache"
+            assert outcome.queue_wait_s == 0
+            assert not busy.done()
+            assert busy.result(timeout=60).result is None
         finally:
             service.close()
 
@@ -520,6 +544,35 @@ class TestWorkerPool:
             assert (stats["executor"]["spawned"],
                     stats["executor"]["replaced"]) == (2, 1)
         assert multiprocessing.active_children() == []
+
+    def test_memory_hit_is_served_while_a_solve_holds_the_pool(
+            self, tmp_path, sleeper_engine):
+        config = _config(tmp_path, workers=1)
+        cached = {"alpha": "down[p]", "beta": "down", "engine": "patterns"}
+        with start_in_thread(config) as handle:
+            address = handle.http_address
+            status, first = http_json(address, "/v1/contains", cached)
+            assert (status, first["cache"]) == (200, "miss")
+            busy = threading.Thread(target=http_json, args=(
+                address, "/v1/satisfiable",
+                {"expr": "p", "engine": sleeper_engine, "timeout": 3}))
+            busy.start()
+            deadline = time.monotonic() + 30
+            while http_json(address, "/stats")[1]["executor"]["inflight"] < 1:
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            started = time.perf_counter()
+            status, second = http_json(address, "/v1/contains", cached)
+            elapsed = time.perf_counter() - started
+            assert (status, second["cache"]) == (200, "hit")
+            assert elapsed < 1
+            assert busy.is_alive()
+            busy.join(timeout=60)
+            _, stats = http_json(address, "/stats")
+            assert stats["server"]["cache_hits"] == 1
+            assert stats["cache"]["mem_hits"] == 1
+            assert (stats["executor"]["submitted"],
+                    stats["executor"]["completed"]) == (3, 3)
 
 
 class TestDrain:
