@@ -72,14 +72,18 @@ Both kernels run the identical saturation/game logic of
 differential suite (tests/test_bitset_kernel.py) checks that claim on the
 full corpus.
 
-**The game.**  The discovered summaries form a parity game: Eve picks a
-derivation (label class + child summaries) for each summary, Adam picks
+**The game.**  Each summary keeps one derivation (label class + child
+summaries), the one that discovered it; offers of further derivations
+are dropped, which changes no summary and no verdict.  The discovered
+summaries form a parity game: Eve picks a root combination, Adam picks
 which FCNS child to descend into; every internal position has priority 1
 and the "no child left" sink priority 2, so Eve wins iff she can build a
 *finite* consistent tree — exactly the co-Büchi discipline the 2ATA's
-``Acc`` imposes on ``loop`` states.  The verdict is read off
-:func:`repro.games.solve_parity`; on nonemptiness a minimal-rank winning
-strategy is decoded back through the FCNS encoding into an
+``Acc`` imposes on ``loop`` states.  A summary is recorded only after
+its children, so every derivation is well-founded and the game's verdict
+(read off :func:`repro.games.solve_parity`) is "a root combination
+exists".  On nonemptiness the root combination of least derivation
+height is decoded back through the FCNS encoding into an
 :class:`~repro.trees.XMLTree` witness.
 """
 
@@ -126,10 +130,6 @@ DEFAULT_MAX_EVALS = 400_000
 DEFAULT_MAX_ENTRIES = 6_000
 DEFAULT_MAX_CONTEXTS = 2_000
 
-#: At most this many alternative derivations are kept per summary; the
-#: first one is always the (well-founded) derivation that discovered it.
-_COMBOS_PER_ENTRY = 4
-
 #: The relation-algebra kernels :func:`decide_emptiness` can run.
 _KERNELS = ("bitset", "reference")
 
@@ -171,13 +171,6 @@ class _Eval:
     ctx1: int
     ctx2: int
     root_true: bool
-
-
-@dataclass
-class _Entry:
-    """One derived summary ``(ctx, S̄)`` with its known derivations."""
-
-    combos: list[tuple[int, tuple | None, tuple | None]]
 
 
 #: Dense indices for the four steps; all hot-path tables key on these
@@ -248,7 +241,10 @@ class _CheckerBase:
         self.pruned = 0
 
         # ---- saturation state
-        self.entries: dict[tuple[int, int], _Entry] = {}
+        #: each derived summary ``(ctx_id, svec)`` -> the one derivation
+        #: ``(lcls, child1, child2)`` that discovered it; children are
+        #: summary keys (``None`` for an absent FCNS child) recorded earlier.
+        self.entries: dict[tuple[int, int], tuple] = {}
         self._pool: list[int] = []  # derived summary vectors, in order
         self._pool_set: set[int] = set()
         self._active: list[int] = []  # activated context ids, in order
@@ -256,10 +252,10 @@ class _CheckerBase:
         #: per active context (parallel to ``_active``): pool length up to
         #: which all (class, child, child) combos have been processed.
         self._cursor: list[int] = []
-        #: parked combos: ``(ctx_id, result, child1, child2, combo)``
+        #: parked offers: ``(summary key, derivation)``
         self._wakes: deque[tuple] = deque()
         self._waiting: dict[tuple[int, int], list[tuple]] = {}
-        #: ``(token, window, dead) -> [(lcls, s1, s2, result), ...]``
+        #: ``(token, window, dead) -> [(lcls, svec, child1, child2), ...]``
         #: sweep-row cache; kernels whose tokens collapse contexts set it
         #: to a dict (see :meth:`saturate`), the reference kernel keeps it
         #: ``None`` since its tokens are unique per context.
@@ -481,23 +477,17 @@ class _CheckerBase:
     def frontier_size(self) -> int:
         return len(self._pool)
 
-    def _add_entry(self, key: tuple[int, int],
-                   combo: tuple[int, tuple | None, tuple | None]) -> None:
-        entry = self.entries.get(key)
-        if entry is not None:
-            self.combos_subsumed += 1
-            if combo not in entry.combos \
-                    and len(entry.combos) < _COMBOS_PER_ENTRY:
-                entry.combos.append(combo)
-            return
-        self.entries[key] = _Entry([combo])
+    def _add_entry(self, key: tuple[int, int], derivation: tuple) -> None:
+        """Record the new summary ``key`` with the derivation that
+        discovered it; callers have checked that ``key`` is new and that
+        the derivation's children are recorded."""
+        self.entries[key] = derivation
         if len(self.entries) > self.max_entries:
             raise EmptinessLimit(
                 f"emptiness summary search exceeded {self.max_entries} "
                 "summaries"
             )
-        for waiter in self._waiting.pop(key, ()):
-            self._wakes.append(waiter)
+        self._wakes.extend(self._waiting.pop(key, ()))
         self._add_to_pool(key[1])
 
     def saturate(self) -> None:
@@ -511,22 +501,30 @@ class _CheckerBase:
         explicitly when it appears.  Pool vectors the antichain has marked
         dead are skipped as children (:meth:`_live`).
 
-        Combos park in ``_waiting``/``_wakes`` as fully-resolved 5-tuples
-        ``(ctx_id, result, child1, child2, combo)``: a wake re-checks child
-        availability and records the entry — the evaluation, its children
-        activations and the combo tuple were all done when the combo was
-        first swept, nothing is recomputed.  The watched-child discipline
-        registers a combo on ONE missing child at a time (re-examining on
-        wake), so each combo has at most one live registration and a child
-        appearing wakes it exactly once.
+        A combo offers a derivation to its summary ``(ctx_id, svec)``.
+        Only a summary's first derivation is kept, so an offer to a summary
+        that already exists is dropped on the spot (``combos_subsumed``),
+        before it can park on a missing child: another derivation of a
+        derived summary changes neither the summary set nor the verdict.
+        The sweep still activates the offer's child contexts and the row
+        still records it — a same-token context replaying the row may not
+        have that summary yet.
+
+        Offers park in ``_waiting``/``_wakes`` as ``(key, derivation)``: a
+        wake re-checks the summary and child availability and records the
+        entry — the evaluation and its children activations were done when
+        the combo was swept, nothing is recomputed.  The watched-child
+        discipline registers an offer on ONE missing child at a time
+        (re-examining on wake), so each offer has at most one live
+        registration and a child appearing wakes it exactly once.
         """
         self._activate(0)  # the root context
         classes = range(self.partition.num_classes)
         # Every loop below runs once per (context, class, child, child)
         # combo and is, with the bitset kernel's memoized algebra, the
-        # dominant cost of the whole emptiness check; the entry-recording
-        # tail is intentionally inlined in all three (wake, replay, sweep).
-        # Keep them in sync.
+        # dominant cost of the whole emptiness check; the offer tail is
+        # intentionally inlined in all three (wake, replay, sweep).  Keep
+        # them in sync.
         eval_memo = self._eval_memo
         evaluate_at = self._evaluate_at
         eval_token = self._eval_token
@@ -537,7 +535,7 @@ class _CheckerBase:
         add_entry = self._add_entry
         rows = self._rows
         hits = 0
-        subsumed = 0
+        dropped = 0
         progress = True
         try:
             while progress:
@@ -549,23 +547,18 @@ class _CheckerBase:
                     progress = True
                     self.wakes_woken += 1
                     waiter = self._wakes.popleft()
-                    w_ctx, result, child1, child2, combo = waiter
+                    ekey, derivation = waiter
+                    if ekey in entries:
+                        dropped += 1
+                        continue
+                    _, child1, child2 = derivation
                     if child1 is not None and child1 not in entries:
                         waiting.setdefault(child1, []).append(waiter)
                         continue
                     if child2 is not None and child2 not in entries:
                         waiting.setdefault(child2, []).append(waiter)
                         continue
-                    ekey = (w_ctx, result.svec)
-                    entry = entries.get(ekey)
-                    if entry is not None:
-                        subsumed += 1
-                        combos = entry.combos
-                        if len(combos) < _COMBOS_PER_ENTRY \
-                                and combo not in combos:
-                            combos.append(combo)
-                        continue
-                    add_entry(ekey, combo)
+                    add_entry(ekey, derivation)
                 # Note: processing can activate contexts and extend the
                 # pool mid-sweep; the index loop picks up new contexts, and
                 # the next outer round covers pool growth past this sweep's
@@ -592,29 +585,22 @@ class _CheckerBase:
                         row = rows.get(row_key)
                         if row is not None:
                             hits += len(row)
-                            for result, child1, child2, combo in row:
+                            for lcls, svec, child1, child2 in row:
+                                ekey = (ctx_id, svec)
+                                if ekey in entries:
+                                    dropped += 1
+                                    continue
                                 if child1 is not None \
                                         and child1 not in entries:
-                                    waiting.setdefault(child1, []) \
-                                        .append((ctx_id, result, child1,
-                                                 child2, combo))
+                                    waiting.setdefault(child1, []).append(
+                                        (ekey, (lcls, child1, child2)))
                                     continue
                                 if child2 is not None \
                                         and child2 not in entries:
-                                    waiting.setdefault(child2, []) \
-                                        .append((ctx_id, result, child1,
-                                                 child2, combo))
+                                    waiting.setdefault(child2, []).append(
+                                        (ekey, (lcls, child1, child2)))
                                     continue
-                                ekey = (ctx_id, result.svec)
-                                entry = entries.get(ekey)
-                                if entry is not None:
-                                    subsumed += 1
-                                    combos = entry.combos
-                                    if len(combos) < _COMBOS_PER_ENTRY \
-                                            and combo not in combos:
-                                        combos.append(combo)
-                                    continue
-                                add_entry(ekey, combo)
+                                add_entry(ekey, (lcls, child1, child2))
                             self._cursor[index] = limit
                             continue
                         record: list | None = []
@@ -645,32 +631,24 @@ class _CheckerBase:
                                 activate(ctx2)
                             child1 = (ctx1, s1) if s1 >= 0 else None
                             child2 = (ctx2, s2) if s2 >= 0 else None
-                            combo = (lcls, child1, child2)
+                            svec = result.svec
                             if record is not None:
-                                record.append((result, child1, child2,
-                                               combo))
+                                record.append((lcls, svec, child1, child2))
+                            ekey = (ctx_id, svec)
+                            if ekey in entries:
+                                dropped += 1
+                                continue
                             if child1 is not None \
                                     and child1 not in entries:
-                                waiting.setdefault(child1, []) \
-                                    .append((ctx_id, result, child1,
-                                             child2, combo))
+                                waiting.setdefault(child1, []).append(
+                                    (ekey, (lcls, child1, child2)))
                                 continue
                             if child2 is not None \
                                     and child2 not in entries:
-                                waiting.setdefault(child2, []) \
-                                    .append((ctx_id, result, child1,
-                                             child2, combo))
+                                waiting.setdefault(child2, []).append(
+                                    (ekey, (lcls, child1, child2)))
                                 continue
-                            ekey = (ctx_id, result.svec)
-                            entry = entries.get(ekey)
-                            if entry is not None:
-                                subsumed += 1
-                                combos = entry.combos
-                                if len(combos) < _COMBOS_PER_ENTRY \
-                                        and combo not in combos:
-                                    combos.append(combo)
-                                continue
-                            add_entry(ekey, combo)
+                            add_entry(ekey, (lcls, child1, child2))
                     if record is not None:
                         rows[row_key] = record
                     self._cursor[index] = limit
@@ -682,7 +660,7 @@ class _CheckerBase:
             # Locally accumulated profile counters survive a mid-sweep
             # EmptinessLimit unwind.
             self.eval_hits += hits
-            self.combos_subsumed += subsumed
+            self.combos_subsumed += dropped
 
     # ------------------------------------------------------- root candidates
 
@@ -709,10 +687,13 @@ class _CheckerBase:
     def build_game(self, roots: list[tuple[int, tuple | None]]) -> ParityGame:
         """The emptiness parity game over the discovered summaries.
 
-        Eve picks derivations, Adam picks the FCNS child to verify; every
-        internal position has priority 1, so Eve wins only by forcing every
-        branch into the "no child" sink (priority 2) — i.e. by exhibiting a
-        finite consistent tree below every summary she relies on.
+        Eve picks a root combination; below it every summary has one
+        derivation, so only Adam moves, picking the FCNS child to verify.
+        Every internal position has priority 1, so Eve wins only by forcing
+        every branch into the "no child" sink (priority 2) — i.e. by
+        exhibiting a finite consistent tree below the root she picks.
+        Since a derivation's children are recorded before it, every branch
+        does reach the sink: Eve wins iff some root combination exists.
         """
         eve_sink = ("sink", 0)
         adam_sink = ("sink", 1)
@@ -723,84 +704,49 @@ class _CheckerBase:
         root = ("root",)
         owner[root] = 0
         priority[root] = 1
-        moves[root] = tuple(
-            ("rc", index) for index in range(len(roots))
-        ) or (adam_sink,)
+        moves[root] = tuple(dict.fromkeys(
+            eve_sink if child is None else ("entry", child)
+            for _, child in roots
+        )) or (adam_sink,)
 
-        pending: list[tuple] = []
-        for index, (_, child) in enumerate(roots):
-            position = ("rc", index)
-            owner[position] = 1
-            priority[position] = 1
-            if child is None:
-                moves[position] = (eve_sink,)
-            else:
-                moves[position] = (("entry", child),)
-                pending.append(("entry", child))
-
+        pending = [position for position in moves[root]
+                   if position[0] == "entry"]
         seen = set(pending)
         while pending:
             position = pending.pop()
-            _, key = position
-            entry = self.entries[key]
-            owner[position] = 0
+            _, child1, child2 = self.entries[position[1]]
+            owner[position] = 1
             priority[position] = 1
-            moves[position] = tuple(
-                ("combo", key, index) for index in range(len(entry.combos))
-            )
-            for index, (_, child1, child2) in enumerate(entry.combos):
-                combo_position = ("combo", key, index)
-                owner[combo_position] = 1
-                priority[combo_position] = 1
-                successors = tuple(
-                    ("entry", child)
-                    for child in (child1, child2) if child is not None
-                ) or (eve_sink,)
-                moves[combo_position] = successors
-                for successor in successors:
-                    if successor != eve_sink and successor not in seen:
-                        seen.add(successor)
-                        pending.append(successor)
+            successors = tuple(
+                ("entry", child)
+                for child in (child1, child2) if child is not None
+            ) or (eve_sink,)
+            moves[position] = successors
+            for successor in successors:
+                if successor != eve_sink and successor not in seen:
+                    seen.add(successor)
+                    pending.append(successor)
         return ParityGame(owner, priority, moves)
 
     # ------------------------------------------------------ witness decoding
 
-    def _entry_ranks(self) -> dict[tuple[int, int], float]:
-        """Least derivation height per summary (Bellman iteration; the
-        first stored combo is always well-founded, so every reachable
-        summary gets a finite rank)."""
-        ranks: dict[tuple[int, int], float] = {
-            key: float("inf") for key in self.entries
-        }
-        changed = True
-        while changed:
-            changed = False
-            for key, entry in self.entries.items():
-                best = ranks[key]
-                for _, child1, child2 in entry.combos:
-                    height = 1 + max(
-                        (ranks[child] for child in (child1, child2)
-                         if child is not None),
-                        default=0,
-                    )
-                    if height < best:
-                        best = height
-                if best < ranks[key]:
-                    ranks[key] = best
-                    changed = True
+    def _entry_ranks(self) -> dict[tuple[int, int], int]:
+        """Derivation height per summary: one pass in creation order, since
+        a derivation's children are always recorded before it."""
+        ranks: dict[tuple[int, int], int] = {}
+        for key, (_, child1, child2) in self.entries.items():
+            ranks[key] = 1 + max(
+                (ranks[child] for child in (child1, child2)
+                 if child is not None),
+                default=0,
+            )
         return ranks
 
     def decode_witness(self, roots: list[tuple[int, tuple | None]]) -> XMLTree:
-        """The FCNS-decoded witness tree of a minimal-rank strategy."""
+        """The FCNS-decoded witness tree below the root combination of
+        least height."""
         ranks = self._entry_ranks()
-
-        def combo_height(combo: tuple) -> float:
-            _, child1, child2 = combo
-            return 1 + max((ranks[child] for child in (child1, child2)
-                            if child is not None), default=0)
-
-        def expansion(key: tuple[int, int]) -> tuple:
-            return min(self.entries[key].combos, key=combo_height)
+        entries = self.entries
 
         def unranked(lcls: int, first: tuple | None):
             # Follow the FCNS decoding: the c1 child starts the children
@@ -808,12 +754,12 @@ class _CheckerBase:
             children = []
             current = first
             while current is not None:
-                child_class, child_first, sibling = expansion(current)
+                child_class, child_first, sibling = entries[current]
                 children.append(unranked(child_class, child_first))
                 current = sibling
             return (self.partition.representative(lcls), children)
 
-        def root_height(candidate: tuple[int, tuple | None]) -> float:
+        def root_height(candidate: tuple[int, tuple | None]) -> int:
             _, child = candidate
             return 0 if child is None else ranks[child]
 

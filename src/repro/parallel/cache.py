@@ -88,16 +88,24 @@ JSON that no longer decodes to a result) are counted, deleted, and
 treated as misses — the next ``put`` overwrites them; they can never
 raise on the hit path.
 
-The disk tier is optionally *bounded*: with ``max_entries`` and/or
-``max_bytes`` set, every store garbage-collects oldest-mtime entries
-until the cache fits again; ``repro cache gc`` runs the same collection
-one-shot from the command line.
+The disk tier is optionally *bounded* by ``max_entries`` and/or
+``max_bytes``.  A bounded cache keeps the totals of its last scan plus its
+own stores since, counting each store as a new entry of its file's size
+(so the totals can only over-count), and scans the shards only when a
+store takes those totals past a bound — or on its first store, before it
+has totals.  That scan deletes oldest-mtime entries until the disk holds
+at most :data:`GC_FILL` of each bound, so the next scan is many stores
+away.  With several writers on one directory, each counts only its own
+stores: the directory may grow past a bound until the next scan of some
+writer, which then collects it back.  ``repro cache gc`` runs one
+collection to the exact bounds given from the command line.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import sys
 import tempfile
@@ -127,6 +135,7 @@ __all__ = [
     "CACHE_SCHEMA_VERSION",
     "DEFAULT_MEMORY_ENTRIES",
     "DEFAULT_SHARDS",
+    "GC_FILL",
     "VerdictCache",
     "default_cache_dir",
     "engine_set_fingerprint",
@@ -162,7 +171,16 @@ DEFAULT_SHARDS = 16
 #: a small dict; 4096 of them are a few MB).
 DEFAULT_MEMORY_ENTRIES = 4096
 
+#: A scan that a store triggers collects the disk tier down to this
+#: fraction of each bound.
+GC_FILL = 0.9
+
 Result = SatResult | ContainmentResult
+
+
+def _gc_target(bound: int | None) -> int | None:
+    """The level a scan triggered by a store collects ``bound`` down to."""
+    return None if bound is None else math.ceil(bound * GC_FILL)
 
 
 def default_cache_dir() -> Path:
@@ -313,9 +331,11 @@ class VerdictCache:
       count, keys land in different shards but lookups stay correct
       because the shard of a key is recomputed, never stored.
     * ``memory_entries`` — LRU memory-tier bound (0 disables the tier).
-    * ``max_entries`` / ``max_bytes`` — disk-tier bounds; when set, every
-      store garbage-collects oldest-mtime entries until the bound holds
-      (see :meth:`gc`).  ``None`` (the default) leaves the disk unbounded.
+    * ``max_entries`` / ``max_bytes`` — disk-tier bounds; when set, a
+      store that takes the running totals past a bound garbage-collects
+      oldest-mtime entries down to :data:`GC_FILL` of each bound (see the
+      module docstring and :meth:`gc`).  ``None`` (the default) leaves the
+      disk unbounded.
     """
 
     def __init__(self, directory: str | Path | None = None, *,
@@ -342,6 +362,12 @@ class VerdictCache:
         self.evicted = 0
         self.corrupt = 0
         self.gc_removed = 0
+        #: ``(entries, bytes)`` on disk at this instance's last scan plus
+        #: its stores since; ``None`` before the first scan.
+        self._disk_totals: tuple[int, int] | None = None
+        #: Serializes the totals' updates and the scans stores trigger
+        #: (apart from ``_lock``, which the memory tier's readers take).
+        self._gc_lock = threading.Lock()
 
     # ------------------------------------------------------------- layout
 
@@ -501,13 +527,15 @@ class VerdictCache:
         # to refuse stale *inconclusive* entries (see module docstring).
         data["engines"] = engine_set_fingerprint()
         self._memory_put(key, data)
+        # ASCII (``ensure_ascii``), so its length is the file's size.
+        text = json.dumps(data, sort_keys=True)
         shard_dir = self._shard_dir(key)
         try:
             with self._shard_lock(shard_dir):
                 fd, tmp = tempfile.mkstemp(dir=shard_dir, suffix=".tmp")
                 try:
                     with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                        json.dump(data, handle, sort_keys=True)
+                        handle.write(text)
                     os.replace(tmp, self._path(key))
                 except BaseException:
                     os.unlink(tmp)
@@ -518,8 +546,23 @@ class VerdictCache:
         self.stores += 1
         obs.count("cache.store")
         if self.max_entries is not None or self.max_bytes is not None:
-            self.gc()
+            self._bound_disk(len(text))
         return True
+
+    def _bound_disk(self, size: int) -> None:
+        """Count one store of ``size`` bytes as a new entry and scan only
+        when that takes the totals past a bound (or no scan has run)."""
+        with self._gc_lock:
+            if self._disk_totals is not None:
+                entries = self._disk_totals[0] + 1
+                total_bytes = self._disk_totals[1] + size
+                self._disk_totals = (entries, total_bytes)
+                if (self.max_entries is None
+                        or entries <= self.max_entries) \
+                        and (self.max_bytes is None
+                             or total_bytes <= self.max_bytes):
+                    return
+            self.gc(_gc_target(self.max_entries), _gc_target(self.max_bytes))
 
     # ----------------------------------------------------------------- gc
 
@@ -551,8 +594,9 @@ class VerdictCache:
         oldest-mtime entries are deleted first until both bounds hold.
 
         Returns a summary dict (``scanned``/``removed``/``bytes_removed``/
-        ``entries``/``bytes``).  A cache with no bounds at all is a no-op
-        scan.  Deletions take the owning shard's lock; a concurrently
+        ``entries``/``bytes``); its ``entries``/``bytes`` become the totals
+        bounded stores count on from.  A cache with no bounds at all is a
+        no-op scan.  Deletions take the owning shard's lock; a concurrently
         re-written entry whose file vanished under us is skipped.
         """
         if max_entries is None:
@@ -583,6 +627,8 @@ class VerdictCache:
         if removed:
             self.gc_removed += removed
             obs.count("cache.gc_removed", removed)
+        self._disk_totals = (len(entries) - removed,
+                             total_bytes - bytes_removed)
         return {
             "scanned": len(entries),
             "removed": removed,

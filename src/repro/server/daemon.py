@@ -134,7 +134,7 @@ class ServerConfig:
     workers: int | None = None
     timeout: float | None = None
     #: Verdict cache: directory (``None`` = the default), disable switch,
-    #: and disk-tier bounds enforced on every store.
+    #: and disk-tier bounds (see :class:`VerdictCache`).
     cache_dir: str | None = None
     no_cache: bool = False
     cache_max_entries: int | None = None

@@ -195,6 +195,25 @@ class TestDiskBounds:
         assert len(cache._disk_entries()) <= 2
         assert cache.gc_removed >= 2
 
+    def test_bounded_put_scans_only_past_a_bound(self, tmp_path,
+                                                 monkeypatch):
+        """A bounded store scans the shards only when its running totals
+        pass a bound, and that scan leaves room for further stores."""
+        cache = VerdictCache(tmp_path, max_entries=50)
+        scan = cache._disk_entries
+        scans = 0
+
+        def counted_scan():
+            nonlocal scans
+            scans += 1
+            return scan()
+
+        monkeypatch.setattr(cache, "_disk_entries", counted_scan)
+        for index in range(200):
+            assert cache.put(_problem(index), _result())
+            assert len(list(tmp_path.glob("*/*.json"))) <= 50
+        assert scans <= 40
+
     def test_gc_leaves_files_in_the_cache_root_alone(self, tmp_path):
         """Entries live in shard directories only: a foreign file in the
         cache root is neither scanned nor collected, however old."""

@@ -23,6 +23,13 @@ from repro.analysis.automata_engine import AutomataEngine
 from repro.analysis.problems import Problem, ProblemKind, Verdict
 from repro.analysis.registry import EngineDeclined
 from repro.automata import build_twoata, decide_emptiness
+from repro.automata.emptiness import (
+    DEFAULT_MAX_CONTEXTS,
+    DEFAULT_MAX_ENTRIES,
+    DEFAULT_MAX_EVALS,
+    _BitsetChecker,
+    _ReferenceChecker,
+)
 from repro.semantics import TreeContext, compile_plan
 from repro.xpath import parse_node
 
@@ -65,6 +72,41 @@ class TestDecideEmptiness:
         assert result.entries > 0
         assert result.contexts > 0
         assert result.game_positions > 0
+
+
+class TestOneDerivationPerSummary:
+    """Saturation keeps exactly the derivation that discovered each
+    summary, recorded after its children, so the game's verdict is "a root
+    combination exists"."""
+
+    CHECKERS = {"bitset": _BitsetChecker, "reference": _ReferenceChecker}
+
+    @pytest.mark.parametrize("kernel", sorted(CHECKERS))
+    @pytest.mark.parametrize(
+        "source", TestDecideEmptiness.UNSAT + TestDecideEmptiness.SAT)
+    def test_each_summary_keeps_its_first_derivation(self, source, kernel):
+        ata = build_twoata(parse_node(source))
+        checker = self.CHECKERS[kernel](
+            ata, DEFAULT_MAX_EVALS, DEFAULT_MAX_ENTRIES, DEFAULT_MAX_CONTEXTS)
+        checker.saturate()
+        assert checker.entries
+        order = {key: index for index, key in enumerate(checker.entries)}
+        for key, derivation in checker.entries.items():
+            lcls, child1, child2 = derivation
+            assert isinstance(lcls, int)
+            for child in (child1, child2):
+                assert child is None or order[child] < order[key]
+            # The derivation derives its summary under its context.
+            ctx_id, svec = key
+            result = checker._evaluate(
+                ctx_id, lcls,
+                child1[1] if child1 is not None else -1,
+                child2[1] if child2 is not None else -1)
+            assert result.svec == svec
+            assert child1 is None or child1[0] == result.ctx1
+            assert child2 is None or child2[0] == result.ctx2
+        verdict = decide_emptiness(ata, kernel=kernel)
+        assert verdict.empty == (not checker.root_combos())
 
 
 class TestAutomataEngine:
