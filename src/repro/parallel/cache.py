@@ -43,7 +43,11 @@ Since cache schema v3, callers canonicalize problems through the rewrite
 pipeline (:meth:`Problem.canonical`) before keying — the batch runner does
 it once per problem — so syntactic variants of the same instance (operand
 order, duplicated union members, redundant filters) collide onto one
-entry instead of each missing cold.
+entry instead of each missing cold.  They collide across processes too:
+the normalizer orders operands by their source text, not by the order in
+which a process first interned them.  Entries written while it still
+ordered them by first sight stay correct (no schema bump), but those
+whose operands now sort the other way are no longer reached.
 
 Tiers
 -----

@@ -390,6 +390,17 @@ class ExecutorService:
         returns a future that is already done.  Everything that may read
         or write a file — the disk tier, the solve, the store — runs on a
         coordinator thread."""
+        key = None
+        if self.cache is not None:
+            # One canonical form and one fingerprint per request: cache
+            # keys, worker dispatch and engine admission all see the
+            # rewrite-pipeline canonical form, so syntactic variants of
+            # one instance share a cache entry.  Both run before the
+            # submission is counted, so a problem that cannot be keyed
+            # (one nested too deeply to canonicalize) raises here without
+            # leaving an in-flight count that never completes.
+            problem = problem.canonical()
+            key = problem_fingerprint(problem)
         with self._state_lock:
             if self._closed:
                 raise RuntimeError("ExecutorService is closed")
@@ -397,14 +408,7 @@ class ExecutorService:
             index = self._next_index
             self._next_index += 1
             self.submitted += 1
-        key = None
-        if self.cache is not None:
-            # One canonical form and one fingerprint per request: cache
-            # keys, worker dispatch and engine admission all see the
-            # rewrite-pipeline canonical form, so syntactic variants of
-            # one instance share a cache entry.
-            problem = problem.canonical()
-            key = problem_fingerprint(problem)
+        if key is not None:
             hit = self._recorded(self._memory_hit, index, problem, key)
             if hit is not None:
                 future: Future[BatchOutcome] = Future()

@@ -16,7 +16,10 @@ Two mutually recursive sorts:
           | α ≈ β                                      (path equality)
           | . is $i                                    (variable test, §7)
 
-All AST classes are immutable, hashable dataclasses.  Derived connectives
+All AST classes are immutable, hashable dataclasses.  :func:`children` and
+:func:`map_children` are the one description of each constructor's shape:
+structural walks elsewhere visit and rebuild children through them instead
+of matching on every constructor.  Derived connectives
 (∨, ⇒, ⊥, every, τ⁺, ...) are provided as constructor functions in
 :mod:`repro.xpath.builders` so that the *size* of an expression (§2.3) is
 always the literal size of its syntax tree.
@@ -25,7 +28,8 @@ always the literal size of its syntax tree.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import Callable
 
 __all__ = [
     "Axis",
@@ -49,6 +53,8 @@ __all__ = [
     "PathEquality",
     "VarIs",
     "Expr",
+    "children",
+    "map_children",
 ]
 
 
@@ -364,8 +370,61 @@ def _install_cached_hash(cls: type) -> None:
     cls.__hash__ = __hash__  # type: ignore[method-assign]
 
 
-for _cls in (AxisStep, AxisClosure, Self, Seq, Union, Filter, Intersect,
-             Complement, Star, ForLoop, Label, SomePath, Top, Not, And,
-             PathEquality, VarIs):
+_CONSTRUCTORS = (AxisStep, AxisClosure, Self, Seq, Union, Filter, Intersect,
+                 Complement, Star, ForLoop, Label, SomePath, Top, Not, And,
+                 PathEquality, VarIs)
+
+for _cls in _CONSTRUCTORS:
     _install_cached_hash(_cls)
 del _cls
+
+# ----------------------------------------------------------------- traversal
+
+#: Each constructor's child fields in constructor order: the fields of an
+#: expression sort.  Its other fields (an axis, a label, a variable name)
+#: are data, which :func:`map_children` keeps.
+_CHILD_FIELDS: dict[type, tuple[str, ...]] = {
+    cls: tuple(f.name for f in fields(cls) if f.type in ("PathExpr", "NodeExpr"))
+    for cls in _CONSTRUCTORS
+}
+
+
+def children(expr: Expr) -> tuple[Expr, ...]:
+    """The immediate subexpressions of ``expr`` in constructor order
+    (``()`` for a leaf); ``TypeError`` for a non-expression."""
+    names = _CHILD_FIELDS.get(type(expr))
+    if names is None:
+        raise TypeError(f"unknown expression {expr!r}")
+    if not names:
+        return ()
+    if len(names) == 1:
+        return (getattr(expr, names[0]),)
+    return (getattr(expr, names[0]), getattr(expr, names[1]))
+
+
+def map_children(expr: Expr, fn: Callable[[Expr], Expr]) -> Expr:
+    """``expr``'s constructor rebuilt over ``fn`` of each child, in
+    constructor order (``ForLoop.var`` is kept); ``expr`` itself when no
+    child changed, and for a leaf.  ``TypeError`` for a non-expression.
+
+    Recursive walks call this once per level, so it adds exactly one frame
+    per level: it is unrolled by arity, with no comprehension or generator
+    (either would add a frame of its own, and the deep chains the
+    interner accepts would no longer fit its recursion limit).
+    """
+    names = _CHILD_FIELDS.get(type(expr))
+    if names is None:
+        raise TypeError(f"unknown expression {expr!r}")
+    if not names:
+        return expr
+    a = getattr(expr, names[0])
+    x = fn(a)
+    if len(names) == 1:
+        return expr if x is a else type(expr)(x)
+    b = getattr(expr, names[1])
+    y = fn(b)
+    if x is a and y is b:
+        return expr
+    if type(expr) is ForLoop:
+        return ForLoop(expr.var, x, y)
+    return type(expr)(x, y)

@@ -12,13 +12,20 @@ Two facilities that give every expression a *stable structural identity*:
   sort and deduplicate the commutative/associative connectives (``∪``,
   ``∧``, ``∩``), collapse the unit laws ``./α = α/. = α`` and ``α[⊤] = α``,
   and cancel double negation ``¬¬φ = φ``.  Normal forms are interned and
-  idempotent: ``normalize(normalize(e)) is normalize(e)``.
+  idempotent: ``normalize(normalize(e)) is normalize(e)``.  Operands are
+  sorted by their source text, a structural key, so a normal form (and the
+  verdict-cache key built from it) is the same in every process, whatever
+  each interned first.
 
 Both tables are process-global and monotone: canonical nodes are kept alive
 for the lifetime of the process, which is what makes ``id``-free integer
 keys sound.  The size of the tables is bounded by the number of *distinct*
 subexpressions ever seen, which for the workloads in this repository is
 small (thousands, not millions).
+
+Interning and normalization visit and rebuild children through
+:func:`~repro.xpath.ast.map_children`; only the normalizer's rewrite rules
+match on constructors.
 """
 
 from __future__ import annotations
@@ -30,25 +37,18 @@ from typing import Callable
 
 from .ast import (
     And,
-    AxisClosure,
-    AxisStep,
-    Complement,
     Expr,
     Filter,
-    ForLoop,
     Intersect,
-    Label,
     Not,
-    PathEquality,
-    PathExpr,
     Self,
     Seq,
-    SomePath,
     Star,
     Top,
     Union,
-    VarIs,
+    map_children,
 )
+from .printer import to_source
 
 __all__ = [
     "DenseInterner",
@@ -165,34 +165,7 @@ def _intern(expr: Expr) -> Expr:
     hit = _TABLE.get(expr)
     if hit is not None:
         return hit
-    match expr:
-        case AxisStep() | AxisClosure() | Self() | Label() | Top() | VarIs():
-            rebuilt = expr
-        case Seq(left=a, right=b):
-            rebuilt = Seq(_intern(a), _intern(b))
-        case Union(left=a, right=b):
-            rebuilt = Union(_intern(a), _intern(b))
-        case Intersect(left=a, right=b):
-            rebuilt = Intersect(_intern(a), _intern(b))
-        case Complement(left=a, right=b):
-            rebuilt = Complement(_intern(a), _intern(b))
-        case Filter(path=a, predicate=p):
-            rebuilt = Filter(_intern(a), _intern(p))
-        case Star(path=a):
-            rebuilt = Star(_intern(a))
-        case ForLoop(var=v, source=a, body=b):
-            rebuilt = ForLoop(v, _intern(a), _intern(b))
-        case SomePath(path=a):
-            rebuilt = SomePath(_intern(a))
-        case Not(child=c):
-            rebuilt = Not(_intern(c))
-        case And(left=a, right=b):
-            rebuilt = And(_intern(a), _intern(b))
-        case PathEquality(left=a, right=b):
-            rebuilt = PathEquality(_intern(a), _intern(b))
-        case _:
-            raise TypeError(f"unknown expression {expr!r}")
-    return _canon(rebuilt)
+    return _canon(map_children(expr, _intern))
 
 
 def intern_key(expr: Expr) -> int:
@@ -232,10 +205,24 @@ def _flatten(expr: Expr, ctor: type) -> list[Expr]:
     return out
 
 
+#: id(canonical operand) -> its source text, the operand sort key.
+_SORT_KEY: dict[int, str] = {}
+
+
+def _sort_key(part: Expr) -> str:
+    """The order of ``∪``/``∧``/``∩`` operands: their source text, a pure
+    function of structure.  An intern key would order operands by first
+    sight, which differs between processes."""
+    key = _SORT_KEY.get(id(part))
+    if key is None:
+        key = _SORT_KEY[id(part)] = to_source(part)
+    return key
+
+
 def _normalized_parts(expr: Expr, ctor: type) -> list[Expr]:
     """Normalized leaves of a ``ctor`` spine, re-flattened (a leaf may itself
     normalize to a ``ctor`` node), deduplicated (idempotence) and sorted by
-    intern key (commutativity)."""
+    :func:`_sort_key` (commutativity)."""
     flat: list[Expr] = []
     for part in _flatten(expr, ctor):
         normal = _normalize(part)
@@ -243,10 +230,9 @@ def _normalized_parts(expr: Expr, ctor: type) -> list[Expr]:
             flat.extend(_flatten(normal, ctor))
         else:
             flat.append(normal)
-    by_key: dict[int, Expr] = {}
-    for part in flat:
-        by_key.setdefault(_KEYS[id(part)], part)
-    return [by_key[key] for key in sorted(by_key)]
+    # Parts are interned, so identity is structural equality.
+    unique = {id(part): part for part in flat}
+    return sorted(unique.values(), key=_sort_key)
 
 
 def _rebuild(parts: list[Expr], ctor: Callable[[Expr, Expr], Expr]) -> Expr:
@@ -275,8 +261,6 @@ def _normalize(expr: Expr) -> Expr:
     if cached is not None:
         return cached
     match expr:
-        case AxisStep() | AxisClosure() | Self() | Label() | Top() | VarIs():
-            result = expr
         case Seq(left=a, right=b):
             a, b = _normalize(a), _normalize(b)
             if isinstance(a, Self):
@@ -289,8 +273,6 @@ def _normalize(expr: Expr) -> Expr:
             result = _rebuild(_normalized_parts(expr, Union), Union)
         case Intersect():
             result = _rebuild(_normalized_parts(expr, Intersect), Intersect)
-        case Complement(left=a, right=b):
-            result = _canon(Complement(_normalize(a), _normalize(b)))
         case Filter(path=a, predicate=p):
             a, p = _normalize(a), _normalize(p)
             result = a if isinstance(p, Top) else _canon(Filter(a, p))
@@ -300,19 +282,13 @@ def _normalize(expr: Expr) -> Expr:
                 result = a  # (α*)* = α* and .* = . (closures are reflexive).
             else:
                 result = _canon(Star(a))
-        case ForLoop(var=v, source=a, body=b):
-            result = _canon(ForLoop(v, _normalize(a), _normalize(b)))
-        case SomePath(path=a):
-            result = _canon(SomePath(_normalize(a)))
         case Not(child=c):
             c = _normalize(c)
             result = c.child if isinstance(c, Not) else _canon(Not(c))
         case And():
             result = _rebuild(_normalized_parts(expr, And), And)
-        case PathEquality(left=a, right=b):
-            result = _canon(PathEquality(_normalize(a), _normalize(b)))
-        case _:
-            raise TypeError(f"unknown expression {expr!r}")
+        case _:  # no rule at this node: normalize the children
+            result = _canon(map_children(expr, _normalize))
     _NORMAL[id(expr)] = result
     # A normal form is its own normal form (idempotence).
     _NORMAL.setdefault(id(result), result)

@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import Iterator
 
 from .ast import (
-    And,
     Axis,
     AxisClosure,
     AxisStep,
@@ -22,16 +21,14 @@ from .ast import (
     Intersect,
     Label,
     NodeExpr,
-    Not,
     PathEquality,
     PathExpr,
     Self,
     Seq,
-    SomePath,
     Star,
-    Top,
     Union,
     VarIs,
+    children,
 )
 
 __all__ = [
@@ -48,32 +45,13 @@ __all__ = [
     "free_variables",
 ]
 
-_BINARY_PATHS = (Seq, Union, Intersect, Complement)
-
-
 def size(expr: Expr) -> int:
-    """Number of nodes in the syntax tree of ``expr`` (§2.3)."""
-    match expr:
-        case AxisStep() | Self() | Label() | Top() | VarIs():
-            return 1
-        case AxisClosure():
-            # τ* counts as an atomic axis plus the closure constructor is a
-            # single syntax-tree node in the paper's grammar (τ* is atomic).
-            return 1
-        case Seq(left=a, right=b) | Union(left=a, right=b) \
-                | Intersect(left=a, right=b) | Complement(left=a, right=b):
-            return 1 + size(a) + size(b)
-        case Filter(path=a, predicate=p):
-            return 1 + size(a) + size(p)
-        case Star(path=a) | SomePath(path=a) | Not(child=a):
-            return 1 + size(a)
-        case ForLoop(source=a, body=b):
-            return 1 + size(a) + size(b)
-        case And(left=a, right=b):
-            return 1 + size(a) + size(b)
-        case PathEquality(left=a, right=b):
-            return 1 + size(a) + size(b)
-    raise TypeError(f"unknown expression {expr!r}")
+    """Number of nodes in the syntax tree of ``expr`` (§2.3).  An axis
+    closure ``τ*`` is one node: the paper's grammar makes it atomic."""
+    result = 1
+    for child in children(expr):
+        result += size(child)
+    return result
 
 
 def dag_size(expr: Expr) -> int:
@@ -115,26 +93,13 @@ def intersection_depth(expr: Expr) -> int:
 
 
 def subexpressions(expr: Expr) -> Iterator[Expr]:
-    """All subexpressions of ``expr`` (both sorts), including ``expr`` itself."""
-    yield expr
-    match expr:
-        case AxisStep() | AxisClosure() | Self() | Label() | Top() | VarIs():
-            return
-        case Seq(left=a, right=b) | Union(left=a, right=b) \
-                | Intersect(left=a, right=b) | Complement(left=a, right=b) \
-                | And(left=a, right=b) | PathEquality(left=a, right=b):
-            yield from subexpressions(a)
-            yield from subexpressions(b)
-        case Filter(path=a, predicate=p):
-            yield from subexpressions(a)
-            yield from subexpressions(p)
-        case Star(path=a) | SomePath(path=a) | Not(child=a):
-            yield from subexpressions(a)
-        case ForLoop(source=a, body=b):
-            yield from subexpressions(a)
-            yield from subexpressions(b)
-        case _:
-            raise TypeError(f"unknown expression {expr!r}")
+    """All subexpressions of ``expr`` (both sorts), including ``expr`` itself,
+    in pre-order."""
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(children(node)))
 
 
 def node_subexpressions(expr: Expr) -> set[NodeExpr]:
@@ -189,14 +154,7 @@ def free_variables(expr: Expr) -> frozenset[str]:
             return frozenset({v})
         case ForLoop(var=v, source=a, body=b):
             return free_variables(a) | (free_variables(b) - {v})
-        case AxisStep() | AxisClosure() | Self() | Label() | Top():
-            return frozenset()
-        case Seq(left=a, right=b) | Union(left=a, right=b) \
-                | Intersect(left=a, right=b) | Complement(left=a, right=b) \
-                | And(left=a, right=b) | PathEquality(left=a, right=b):
-            return free_variables(a) | free_variables(b)
-        case Filter(path=a, predicate=p):
-            return free_variables(a) | free_variables(p)
-        case Star(path=a) | SomePath(path=a) | Not(child=a):
-            return free_variables(a)
-    raise TypeError(f"unknown expression {expr!r}")
+    result: frozenset[str] = frozenset()
+    for child in children(expr):
+        result |= free_variables(child)
+    return result

@@ -156,22 +156,24 @@ class _Tokens:
 
 def parse_path(text: str) -> PathExpr:
     """Parse a path expression."""
-    tokens = _Tokens(text)
-    path = _path(tokens)
-    if not tokens.at_end():
-        _, value = tokens.next()
-        raise XPathSyntaxError(f"trailing input starting at {value!r}")
-    return path
+    return _parse(text, _path)
 
 
 def parse_node(text: str) -> NodeExpr:
     """Parse a node expression."""
+    return _parse(text, _node)
+
+
+def _parse(text: str, rule):
     tokens = _Tokens(text)
-    node = _node(tokens)
+    try:
+        result = rule(tokens)
+    except RecursionError:  # about ten frames per nesting level
+        raise XPathSyntaxError("expression nests too deeply") from None
     if not tokens.at_end():
         _, value = tokens.next()
         raise XPathSyntaxError(f"trailing input starting at {value!r}")
-    return node
+    return result
 
 
 # ---------------------------------------------------------------- path rules

@@ -8,11 +8,12 @@ consolidates them into one pipeline:
 
 * A :class:`Pass` is a *named, declared, semantics-preserving* rule set.
   Local passes rewrite one node at a time (bottom-up, children already
-  rewritten); whole-expression passes (the :func:`~repro.xpath.intern.normalize`
-  wrapper) transform the root in one shot.  Every rule is an equivalence of
-  the paper's semantics — ``[[rewrite(e)]] = [[e]]`` on every tree and
-  assignment — so engines may decide the canonical form in place of the
-  original.
+  rewritten through :func:`~repro.xpath.ast.map_children`, so the walk
+  knows no constructor shapes); whole-expression passes (the
+  :func:`~repro.xpath.intern.normalize` wrapper) transform the root in one
+  shot.  Every rule is an equivalence of the paper's semantics —
+  ``[[rewrite(e)]] = [[e]]`` on every tree and assignment — so engines may
+  decide the canonical form in place of the original.
 * A :class:`Pipeline` is an ordered pass list run to a **cost-guided
   fixpoint**: after each pass the result is kept only if its cost — the
   tuple ``(size, dag_size)`` from :mod:`repro.xpath.measures` — did not
@@ -57,6 +58,7 @@ from __future__ import annotations
 import os
 import threading
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Iterable
 
 from .. import obs
@@ -79,9 +81,10 @@ from .ast import (
     Star,
     Top,
     Union,
-    VarIs,
+    children,
+    map_children,
 )
-from .intern import intern_expr, normalize
+from .intern import _flatten, intern_expr, normalize
 from .measures import size
 
 __all__ = [
@@ -122,22 +125,6 @@ def is_empty_path(path: PathExpr) -> bool:
     return intern_expr(path) is EMPTY_PATH
 
 
-def _children(expr: Expr) -> tuple[Expr, ...]:
-    """Immediate subexpressions of one node (both sorts)."""
-    match expr:
-        case Seq(left=a, right=b) | Union(left=a, right=b) \
-                | Intersect(left=a, right=b) | Complement(left=a, right=b) \
-                | And(left=a, right=b) | PathEquality(left=a, right=b) \
-                | ForLoop(source=a, body=b):
-            return (a, b)
-        case Filter(path=a, predicate=p):
-            return (a, p)
-        case Star(path=a) | SomePath(path=a) | Not(child=a):
-            return (a,)
-        case _:
-            return ()
-
-
 #: id(interned expr) -> adjusted size.  Safe: canonical nodes are immortal.
 _GUARD_SIZE: dict[int, int] = {}
 
@@ -153,7 +140,7 @@ def _adjusted_size(expr: Expr) -> int:
     cached = _GUARD_SIZE.get(id(expr))
     if cached is not None:
         return cached
-    result = 1 + sum(_adjusted_size(child) for child in _children(expr))
+    result = 1 + sum(_adjusted_size(child) for child in children(expr))
     _GUARD_SIZE[id(expr)] = result
     return result
 
@@ -170,7 +157,7 @@ def _adjusted_dag(expr: Expr) -> int:
         seen.add(id(node))
         if node is EMPTY_PATH or node is FALSE:
             continue
-        stack.extend(_children(node))
+        stack.extend(children(node))
     return len(seen)
 
 
@@ -185,20 +172,6 @@ def cost(expr: Expr) -> tuple[int, int]:
 
 
 # -------------------------------------------------------------- rule helpers
-
-
-def _flatten(expr: Expr, ctor: type) -> list[Expr]:
-    """Leaves of a ``ctor`` spine, left to right."""
-    out: list[Expr] = []
-    stack = [expr]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, ctor):
-            stack.append(node.right)  # type: ignore[attr-defined]
-            stack.append(node.left)  # type: ignore[attr-defined]
-        else:
-            out.append(node)
-    return out
 
 
 def _rebuild(parts: list[Expr], ctor: Callable[[Expr, Expr], Expr]) -> Expr:
@@ -472,48 +445,18 @@ class Pass:
             return result
         assert self.rule is not None
         memo: dict[int, Expr] = {}
-        return self._walk(intern_expr(expr), alphabet, memo, fired)
+        return self._walk(alphabet, memo, fired, intern_expr(expr))
 
-    def _walk(self, expr: Expr, alphabet: frozenset[str] | None,
-              memo: dict[int, Expr], fired: list[int]) -> Expr:
+    def _walk(self, alphabet: frozenset[str] | None, memo: dict[int, Expr],
+              fired: list[int], expr: Expr) -> Expr:
         hit = memo.get(id(expr))
         if hit is not None:
             return hit
-        walk = self._walk
-        match expr:
-            case Seq(left=a, right=b):
-                rebuilt = Seq(walk(a, alphabet, memo, fired),
-                              walk(b, alphabet, memo, fired))
-            case Union(left=a, right=b):
-                rebuilt = Union(walk(a, alphabet, memo, fired),
-                                walk(b, alphabet, memo, fired))
-            case Intersect(left=a, right=b):
-                rebuilt = Intersect(walk(a, alphabet, memo, fired),
-                                    walk(b, alphabet, memo, fired))
-            case Complement(left=a, right=b):
-                rebuilt = Complement(walk(a, alphabet, memo, fired),
-                                     walk(b, alphabet, memo, fired))
-            case Filter(path=a, predicate=p):
-                rebuilt = Filter(walk(a, alphabet, memo, fired),
-                                 walk(p, alphabet, memo, fired))
-            case Star(path=a):
-                rebuilt = Star(walk(a, alphabet, memo, fired))
-            case ForLoop(var=v, source=a, body=b):
-                rebuilt = ForLoop(v, walk(a, alphabet, memo, fired),
-                                  walk(b, alphabet, memo, fired))
-            case SomePath(path=a):
-                rebuilt = SomePath(walk(a, alphabet, memo, fired))
-            case Not(child=c):
-                rebuilt = Not(walk(c, alphabet, memo, fired))
-            case And(left=a, right=b):
-                rebuilt = And(walk(a, alphabet, memo, fired),
-                              walk(b, alphabet, memo, fired))
-            case PathEquality(left=a, right=b):
-                rebuilt = PathEquality(walk(a, alphabet, memo, fired),
-                                       walk(b, alphabet, memo, fired))
-            case _:  # leaves: AxisStep/AxisClosure/Self/Label/Top/VarIs
-                rebuilt = expr
-        node = intern_expr(rebuilt)
+        # A partial, not a lambda: the walk's recursion must stay at two
+        # frames per level (_walk, map_children) for deep inputs to fit
+        # the interner's recursion limit.
+        node = intern_expr(map_children(
+            expr, partial(self._walk, alphabet, memo, fired)))
         assert self.rule is not None
         # Re-apply the rule at this node until it stops firing: one rewrite
         # can expose another local redex (e.g. filter fusion after fusion).

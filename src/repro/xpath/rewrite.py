@@ -18,7 +18,6 @@ Implements the syntactic transformations the paper uses as lemmas:
 from __future__ import annotations
 
 from .ast import (
-    And,
     AxisClosure,
     AxisStep,
     Complement,
@@ -35,9 +34,9 @@ from .ast import (
     Seq,
     SomePath,
     Star,
-    Top,
     Union,
     VarIs,
+    map_children,
 )
 from .builders import down_star, up_star
 from .measures import subexpressions
@@ -113,32 +112,19 @@ def intersect_tests_via_eq(expr: Expr) -> Expr:
         return expr
 
     def walk(e: Expr) -> Expr:
-        match e:
-            case SomePath(path=a):
-                inner = walk(a)
-                core, predicates = inner, []
-                while isinstance(core, Filter):
-                    predicates.append(core.predicate)
-                    core = core.path
-                if isinstance(core, Intersect):
-                    left = core.left
-                    for predicate in reversed(predicates):
-                        left = Filter(left, predicate)
-                    return PathEquality(left, core.right)
-                return e if inner is a else SomePath(inner)
-            case Seq(left=a, right=b) | Union(left=a, right=b) \
-                    | Intersect(left=a, right=b) | Complement(left=a, right=b) \
-                    | And(left=a, right=b) | PathEquality(left=a, right=b) \
-                    | Filter(path=a, predicate=b):
-                x, y = walk(a), walk(b)
-                return e if x is a and y is b else type(e)(x, y)
-            case Star(path=a) | Not(child=a):
-                x = walk(a)
-                return e if x is a else type(e)(x)
-            case ForLoop(var=v, source=a, body=b):
-                x, y = walk(a), walk(b)
-                return e if x is a and y is b else ForLoop(v, x, y)
-        return e  # leaves
+        e = map_children(e, walk)
+        if not isinstance(e, SomePath):
+            return e
+        core, predicates = e.path, []
+        while isinstance(core, Filter):
+            predicates.append(core.predicate)
+            core = core.path
+        if not isinstance(core, Intersect):
+            return e
+        left = core.left
+        for predicate in reversed(predicates):
+            left = Filter(left, predicate)
+        return PathEquality(left, core.right)
 
     return walk(expr)
 
@@ -188,34 +174,9 @@ def substitute_label(expr: Expr, name: str, replacement: NodeExpr) -> Expr:
     """Uniformly replace the atomic label ``name`` by ``replacement``."""
 
     def walk(e: Expr) -> Expr:
-        match e:
-            case Label(name=n):
-                return replacement if n == name else e
-            case AxisStep() | AxisClosure() | Self() | Top() | VarIs():
-                return e
-            case Seq(left=a, right=b):
-                return Seq(walk(a), walk(b))
-            case Union(left=a, right=b):
-                return Union(walk(a), walk(b))
-            case Intersect(left=a, right=b):
-                return Intersect(walk(a), walk(b))
-            case Complement(left=a, right=b):
-                return Complement(walk(a), walk(b))
-            case Filter(path=a, predicate=p):
-                return Filter(walk(a), walk(p))
-            case Star(path=a):
-                return Star(walk(a))
-            case ForLoop(var=v, source=a, body=b):
-                return ForLoop(v, walk(a), walk(b))
-            case SomePath(path=a):
-                return SomePath(walk(a))
-            case Not(child=c):
-                return Not(walk(c))
-            case And(left=a, right=b):
-                return And(walk(a), walk(b))
-            case PathEquality(left=a, right=b):
-                return PathEquality(walk(a), walk(b))
-        raise TypeError(f"unknown expression {e!r}")
+        if isinstance(e, Label):
+            return replacement if e.name == name else e
+        return map_children(e, walk)
 
     return walk(expr)
 
@@ -231,34 +192,9 @@ def relativize_axes(expr: Expr, guard: NodeExpr) -> Expr:
     """
 
     def walk(e: Expr) -> Expr:
-        match e:
-            case AxisStep() | AxisClosure():
-                return Filter(e, guard)
-            case Label() | Self() | Top() | VarIs():
-                return e
-            case Seq(left=a, right=b):
-                return Seq(walk(a), walk(b))
-            case Union(left=a, right=b):
-                return Union(walk(a), walk(b))
-            case Intersect(left=a, right=b):
-                return Intersect(walk(a), walk(b))
-            case Complement(left=a, right=b):
-                return Complement(walk(a), walk(b))
-            case Filter(path=a, predicate=p):
-                return Filter(walk(a), walk(p))
-            case Star(path=a):
-                return Star(walk(a))
-            case ForLoop(var=v, source=a, body=b):
-                return ForLoop(v, walk(a), walk(b))
-            case SomePath(path=a):
-                return SomePath(walk(a))
-            case Not(child=c):
-                return Not(walk(c))
-            case And(left=a, right=b):
-                return And(walk(a), walk(b))
-            case PathEquality(left=a, right=b):
-                return PathEquality(walk(a), walk(b))
-        raise TypeError(f"unknown expression {e!r}")
+        if isinstance(e, (AxisStep, AxisClosure)):
+            return Filter(e, guard)
+        return map_children(e, walk)
 
     return walk(expr)
 
@@ -270,33 +206,7 @@ def map_paths(expr: Expr, transform) -> Expr:
     the argument unchanged."""
 
     def walk(e: Expr) -> Expr:
-        match e:
-            case AxisStep() | AxisClosure() | Self():
-                return transform(e)
-            case Seq(left=a, right=b):
-                return transform(Seq(walk(a), walk(b)))
-            case Union(left=a, right=b):
-                return transform(Union(walk(a), walk(b)))
-            case Intersect(left=a, right=b):
-                return transform(Intersect(walk(a), walk(b)))
-            case Complement(left=a, right=b):
-                return transform(Complement(walk(a), walk(b)))
-            case Filter(path=a, predicate=p):
-                return transform(Filter(walk(a), walk(p)))
-            case Star(path=a):
-                return transform(Star(walk(a)))
-            case ForLoop(var=v, source=a, body=b):
-                return transform(ForLoop(v, walk(a), walk(b)))
-            case Label() | Top() | VarIs():
-                return e
-            case SomePath(path=a):
-                return SomePath(walk(a))
-            case Not(child=c):
-                return Not(walk(c))
-            case And(left=a, right=b):
-                return And(walk(a), walk(b))
-            case PathEquality(left=a, right=b):
-                return PathEquality(walk(a), walk(b))
-        raise TypeError(f"unknown expression {e!r}")
+        rebuilt = map_children(e, walk)
+        return transform(rebuilt) if isinstance(e, PathExpr) else rebuilt
 
     return walk(expr)

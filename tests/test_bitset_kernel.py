@@ -53,9 +53,9 @@ from repro.server.protocol import outcome_record, parse_problem_record
 from repro.xpath import parse_node, parse_path
 
 from .helpers import random_node
-from .test_emptiness import STAR_EQ, TestDecideEmptiness
+from .test_emptiness import SAT, STAR_EQ, UNSAT
 
-CORPUS = list(TestDecideEmptiness.UNSAT) + list(TestDecideEmptiness.SAT)
+CORPUS = UNSAT + SAT
 
 
 def _both(ata, **limits):
@@ -87,7 +87,7 @@ class TestKernelDifferential:
         bitset, reference = _both(build_twoata(parse_node(source)))
         _assert_identical(bitset, reference)
 
-    @pytest.mark.parametrize("source", TestDecideEmptiness.SAT)
+    @pytest.mark.parametrize("source", SAT)
     def test_witnesses_satisfy_the_formula(self, source):
         phi = parse_node(source)
         bitset, reference = _both(build_twoata(phi))

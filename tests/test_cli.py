@@ -344,6 +344,22 @@ class TestBatchCommand:
         assert good["verdict"] == "unsatisfiable"
         assert "1 bad input lines" in captured.err
 
+    def test_batch_over_deep_line_is_a_bad_line(self, capsys, tmp_path):
+        """An expression nested too deeply to parse is a bad input line:
+        an error record, the other lines still answered."""
+        corpus = tmp_path / "deep.jsonl"
+        deep = "<down[" * 2500 + "p" + "]>" * 2500
+        corpus.write_text(
+            json.dumps({"kind": "satisfiable", "expr": deep}) + "\n"
+            '{"kind": "satisfiable", "expr": "p"}\n')
+        code = main(["batch", str(corpus), "--no-cache", "--workers", "1"])
+        assert code == 2
+        captured = capsys.readouterr()
+        records = self._records(captured.out)
+        assert "nests too deeply" in records[1]["error"]
+        assert records[2]["verdict"] == "satisfiable"
+        assert "1 bad input lines" in captured.err
+
     def test_batch_unknown_engine_flag_exits_2(self, capsys, tmp_path):
         corpus = self._write_corpus(tmp_path)
         code = main(["batch", str(corpus), "--engine", "warp-drive"])

@@ -39,21 +39,23 @@ from .helpers import random_node, random_path, relation_as_pairs
 STAR_EQ = frozenset({"star", "eq"})
 
 
-class TestDecideEmptiness:
-    UNSAT = [
-        "p and not p",
-        "<up> and not <up>",
-        "p and not <down*[p]>",
-        "<down> and not <down[p]> and not <down[not p]>",
-    ]
-    SAT = [
-        "p",
-        "p and <down[q]>",
-        "<up[q]> and p",
-        "not <up> and <down*[q and not <down>]>",
-        "<left> and <right>",
-    ]
+#: Hand-picked formulas with known verdicts (also the bitset-kernel corpus).
+UNSAT = [
+    "p and not p",
+    "<up> and not <up>",
+    "p and not <down*[p]>",
+    "<down> and not <down[p]> and not <down[not p]>",
+]
+SAT = [
+    "p",
+    "p and <down[q]>",
+    "<up[q]> and p",
+    "not <up> and <down*[q and not <down>]>",
+    "<left> and <right>",
+]
 
+
+class TestDecideEmptiness:
     @pytest.mark.parametrize("source", UNSAT)
     def test_unsatisfiable_formulas_give_empty(self, source):
         result = decide_emptiness(build_twoata(parse_node(source)))
@@ -82,8 +84,7 @@ class TestOneDerivationPerSummary:
     CHECKERS = {"bitset": _BitsetChecker, "reference": _ReferenceChecker}
 
     @pytest.mark.parametrize("kernel", sorted(CHECKERS))
-    @pytest.mark.parametrize(
-        "source", TestDecideEmptiness.UNSAT + TestDecideEmptiness.SAT)
+    @pytest.mark.parametrize("source", UNSAT + SAT)
     def test_each_summary_keeps_its_first_derivation(self, source, kernel):
         ata = build_twoata(parse_node(source))
         checker = self.CHECKERS[kernel](

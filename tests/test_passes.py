@@ -59,7 +59,12 @@ from repro.xpath.passes import (
     union_members,
 )
 
-from .helpers import DEFAULT_LABELS, random_node, random_path
+from .helpers import (
+    DEFAULT_LABELS,
+    random_node,
+    random_path,
+    run_with_hash_seed,
+)
 
 ALL_OPERATORS = frozenset({"cap", "minus", "star", "eq"})
 #: Generator labels include one ("r") outside the schema alphabet below,
@@ -196,6 +201,27 @@ class TestAlgebraicLaws:
 
     def test_union_is_order_insensitive(self):
         assert _canon_path("down[p] union up") is _canon_path("up union down[p]")
+
+    def test_operand_order_is_independent_of_interning_history(self):
+        """Two processes agree on the canonical form, and so on the cache
+        key, whichever operand one of them happened to intern first."""
+        code = (
+            "import sys\n"
+            "from repro.analysis.problems import Problem, ProblemKind\n"
+            "from repro.parallel import problem_fingerprint\n"
+            "from repro.xpath import intern_expr, parse_path, to_source\n"
+            "if sys.argv[1] == 'first':\n"
+            "    intern_expr(parse_path('up[b]'))\n"
+            "problem = Problem(ProblemKind.CONTAINMENT,\n"
+            "                  alpha=parse_path('down*[x]'),\n"
+            "                  beta=parse_path('up[a] intersect up[b]'))\n"
+            "problem = problem.canonical()\n"
+            "print(to_source(problem.beta), problem_fingerprint(problem))\n"
+        )
+        fresh, primed = (run_with_hash_seed(["-c", code, history], seed=0)
+                         for history in ("fresh", "first"))
+        assert fresh == primed
+        assert fresh.startswith("up[a] intersect up[b] ")
 
     def test_star_of_step_is_closure(self):
         assert _canon_path("down*") is intern_expr(AxisClosure(Axis.DOWN))

@@ -49,6 +49,11 @@ def _sat(expr: str, **kwargs) -> Problem:
                    **kwargs)
 
 
+#: 20 KB, under the JSONL line cap, but nested deeper than the parser's
+#: recursion allows: a bad request, not a server error.
+DEEP_EXPR = "<down[" * 2500 + "p" + "]>" * 2500
+
+
 class Sleeper(Engine):
     name = "test-srv-sleeper"
     conclusive = True
@@ -162,6 +167,20 @@ class TestExecutorService:
         finally:
             service.close()
 
+    def test_problem_too_deep_to_key_leaves_nothing_in_flight(self,
+                                                             tmp_path):
+        """A ``not`` chain parses but overflows canonicalization inside
+        ``submit``; the submission must not stay counted as in flight."""
+        service = ExecutorService(workers=1, cache=VerdictCache(tmp_path))
+        try:
+            with pytest.raises(RecursionError):
+                service.submit(_sat("not " * 12000 + "p"))
+            assert service.stats()["inflight"] == 0
+            outcome = service.submit(_sat("p")).result(timeout=60)
+            assert outcome.result is not None
+        finally:
+            service.close()
+
     def test_close_is_terminal_and_idempotent(self):
         service = ExecutorService(workers=1, cache=None)
         service.close()
@@ -268,6 +287,14 @@ class TestHttpEndpoints:
             status, body = http_json(address, "/v1/solve", request)
             assert status == 400, request
             assert needle in body["error"]
+
+    def test_over_deep_expression_is_a_bad_request(self, server):
+        status, body = http_json(server.http_address, "/v1/solve",
+                                 {"kind": "satisfiable", "expr": DEEP_EXPR})
+        assert status == 400
+        assert "nests too deeply" in body["error"]
+        _, stats = http_json(server.http_address, "/stats")
+        assert stats["server"]["bad_requests"] == 1
 
     def test_invalid_json_and_routing(self, server):
         address = server.http_address
@@ -420,6 +447,18 @@ class TestJsonlProtocol:
         assert records[1]["id"] == 2
         assert records[2]["id"] == 3
         assert records[2]["verdict"] == "satisfiable"
+
+    def test_over_deep_line_answers_in_place(self, server, caplog):
+        """A line nested too deeply to parse gets an ``error`` record; the
+        connection keeps answering the lines after it."""
+        client = ServerClient(server.jsonl_address)
+        records = client.solve_records(
+            [{"kind": "satisfiable", "expr": DEEP_EXPR},
+             {"kind": "satisfiable", "expr": "p"}])
+        assert [record["id"] for record in records] == [1, 2]
+        assert "nests too deeply" in records[0]["error"]
+        assert records[1]["verdict"] == "satisfiable"
+        assert _unhandled(caplog) == []
 
     def test_oversized_line_answers_in_place(self, server, caplog):
         """A line over the 64 KiB stream limit gets an ``error`` record in

@@ -69,6 +69,13 @@ class TestParser:
     def test_path_forms(self, source, expected):
         assert parse_path(source) == expected
 
+    def test_over_deep_nesting_is_a_syntax_error(self):
+        deep = "<down[" * 5000 + "p" + "]>" * 5000
+        with pytest.raises(XPathSyntaxError, match="nests too deeply"):
+            parse_node(deep)
+        with pytest.raises(XPathSyntaxError, match="nests too deeply"):
+            parse_path(f"down[{deep}]")
+
     def test_for_loop(self):
         parsed = parse_path("for $x in down return down[. is $x]")
         assert parsed == ForLoop(
